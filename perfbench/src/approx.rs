@@ -4,7 +4,6 @@
 //! index, so it moves with PCP changes and nothing else.
 
 use crate::metrics::Record;
-use crate::sys::Usage;
 use crate::trace::{self, Analysis, TracingOracle, TracingStore};
 use crate::{close, closed, contains, gen, timed, Config};
 use silc::sp_quadtree::{BlockEntry, CellRect};
@@ -118,16 +117,7 @@ fn approx_call<O: ApproxDistanceOracle + ?Sized>(
 
 pub(crate) fn run(cfg: &Config, dir: &Path, rec: &mut Record) -> Result<(), String> {
     let c = &cfg.constants;
-    let a = if cfg.trace {
-        trace::enable(true);
-        let a = setup(cfg, dir)?;
-        trace::enable(false);
-        a
-    } else {
-        let (a, setup_s) = crate::repeated_setup(c.setup_repeats, || setup(cfg, dir))?;
-        rec.set_n("setup_s", setup_s, Some(c.setup_repeats));
-        a
-    };
+    let a = crate::set_up(cfg, rec, || setup(cfg, dir))?;
     let k = c.k.min(a.objects.len());
     let engine = QueryEngine::new(Arc::new(NetworkOnly(a.network.clone())), a.objects.clone());
     let mut sessions: Vec<_> = (0..c.sessions).map(|_| engine.session()).collect();
@@ -140,45 +130,30 @@ pub(crate) fn run(cfg: &Config, dir: &Path, rec: &mut Record) -> Result<(), Stri
     closed::run(&mut sessions[..1], c.warmup_s, qs, 0, &mut [ApproxAcc::default()], &call);
 
     if cfg.trace {
-        let half = cfg.seconds / 2.0;
-        let one = &mut sessions[..1];
-        let base = closed::run(one, half, qs, 1 << 14, &mut [ApproxAcc::default()], &call);
-        let (io0, pairs0) = (oracle.io_stats(), oracle.pair_cache_stats());
+        // Every probe is a `pcp.probe` span; the untraced half of the
+        // phase runs through the same wrapper with tracing off.
         let traced = TracingOracle(oracle);
         let call_traced = |s: &mut QuerySession<NetworkOnly>, q, acc: &mut ApproxAcc| {
             approx_call(s, &traced, q, k, acc)
         };
-        let usage0 = Usage::now();
-        trace::enable(true);
-        trace::snapshot("traced_phase_start", crate::io_values(&io0));
-        let phase = closed::run(one, half, qs, 1 << 15, &mut accs[..1], &call_traced);
-        trace::snapshot("traced_phase_end", crate::io_values(&oracle.io_stats()));
-        trace::enable(false);
-        let usage = Usage::now().since(usage0);
-        let io = crate::io_delta(oracle.io_stats(), io0);
-        let pairs = crate::cache_delta(oracle.pair_cache_stats(), pairs0);
-        let spans = trace::collected();
-        let an = Analysis::new(&spans);
-        let queries = phase.answered + phase.failed;
-        let qf = queries.max(1) as f64;
-        let candidates = accs.iter().map(|a| a.candidates).sum::<u64>() as f64 / qf;
-        rec.set("query.approx_us", crate::stats::median(&an.durations_us("query.approx")));
-        rec.set("query.self_us_per_query", an.self_us("query.approx") / qf);
+        let counters = || closed::Counters {
+            io: oracle.io_stats(),
+            cache: oracle.pair_cache_stats(),
+            ..Default::default()
+        };
+        let t = closed::traced(&mut sessions, cfg.seconds, qs, &mut accs, &call_traced, counters);
+        t.record_shared(rec, "query.approx");
+        let candidates = t.per_query(accs[0].candidates as f64);
+        let an = Analysis::new(&t.spans);
         rec.set("query.approx_candidates_per_query", candidates);
         rec.set("query.approx_useful_ratio", k as f64 / candidates.max(1e-9));
-        rec.set("pcp.self_us_per_query", an.self_us("pcp.probe") / qf);
-        rec.set("pcp.pair_hit_rate", pairs.hit_rate());
-        rec.set("pcp.pool_misses_per_query", io.misses as f64 / qf);
-        rec.set("storage.self_us_per_query", an.total_us("storage.read") / qf);
-        crate::storage_metrics(rec, &io, queries, an.total_us("query.approx"));
-        crate::process_metrics(rec, &usage, queries);
-        crate::overhead(rec, phase.mean_us(), base.mean_us());
+        rec.set("pcp.self_us_per_query", t.per_query(an.self_us("pcp.probe")));
+        rec.set("pcp.pair_hit_rate", t.counters.cache.hit_rate());
+        rec.set("pcp.pool_misses_per_query", t.per_query(t.counters.io.misses as f64));
         rec.set("network.generate_s", a.generate_s);
         rec.set("pcp.build_s", a.build_s);
         rec.set("pcp.batch_sssp", a.build.batch_sources as f64);
         rec.set("pcp.pairs", a.build.pairs as f64);
-        rec.attempted += phase.answered + phase.failed + base.answered + base.failed;
-        rec.failed += phase.failed + base.failed;
     } else {
         let run = closed::interleaved(&mut sessions, cfg.seconds, c.windows, qs, &mut accs, &call);
         crate::closed_loop_metrics(rec, &run)?;

@@ -2,9 +2,12 @@
 //! `approx_oracle`: one thread per session, back-to-back queries from the
 //! shared query stream until the window ends.
 
+use crate::metrics::Record;
 use crate::sys::Usage;
-use crate::trace;
+use crate::trace::{self, Analysis, Span};
+use crate::{cache_delta, io_delta, io_values, stats};
 use silc_network::VertexId;
+use silc_storage::{CacheStats, IoStats};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -135,4 +138,97 @@ where
         loaded.push(self::run(sessions, per, queries, offset, accs, run));
     }
     Interleaved { unloaded, loaded, usage: Usage::now().since(usage0) }
+}
+
+/// The counters a traced phase brackets: the pool the workload reads, its
+/// cache of decoded entries (or oracle pairs), and a second pool where
+/// there is one (the frontier tier).
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Counters {
+    pub io: IoStats,
+    pub cache: CacheStats,
+    pub tier: IoStats,
+}
+
+impl Counters {
+    fn since(self, before: Counters) -> Counters {
+        Counters {
+            io: io_delta(self.io, before.io),
+            cache: cache_delta(self.cache, before.cache),
+            tier: io_delta(self.tier, before.tier),
+        }
+    }
+}
+
+/// What the traced phase of a closed loop measured.
+pub struct Traced {
+    /// The untraced phase run just before it, for `trace.overhead_frac`.
+    pub base: Window,
+    pub phase: Window,
+    /// Counter deltas over the traced phase.
+    pub counters: Counters,
+    pub usage: Usage,
+    pub spans: Vec<Span>,
+}
+
+/// Runs one session for half of `seconds` untraced and then for the other
+/// half traced, reading `counters` around the traced half.
+pub fn traced<S, A, R>(
+    sessions: &mut [S],
+    seconds: f64,
+    queries: &[VertexId],
+    accs: &mut [A],
+    run: &R,
+    counters: impl Fn() -> Counters,
+) -> Traced
+where
+    S: Send,
+    A: Send + Default,
+    R: Fn(&mut S, VertexId, &mut A) -> bool + Sync,
+{
+    let half = seconds / 2.0;
+    let one = &mut sessions[..1];
+    let base = self::run(one, half, queries, 1 << 14, &mut [A::default()], run);
+    let before = counters();
+    let usage0 = Usage::now();
+    trace::enable(true);
+    trace::snapshot("traced_phase_start", io_values(&before.io));
+    let phase = self::run(one, half, queries, 1 << 15, &mut accs[..1], run);
+    let after = counters();
+    trace::snapshot("traced_phase_end", io_values(&after.io));
+    trace::enable(false);
+    let usage = Usage::now().since(usage0);
+    Traced { base, phase, counters: after.since(before), usage, spans: trace::collected() }
+}
+
+impl Traced {
+    /// Calls made in the traced phase.
+    pub fn queries(&self) -> u64 {
+        self.phase.answered + self.phase.failed
+    }
+
+    /// `total` spread over the traced phase's calls.
+    pub fn per_query(&self, total: f64) -> f64 {
+        total / self.queries().max(1) as f64
+    }
+
+    /// Writes the metrics every closed-loop workload shares, for calls
+    /// traced as spans named `call` (`<layer>.<op>`): the call's median
+    /// latency `<call>_us`, its layer's self time, the storage and process
+    /// metrics, the tracing overhead, and the attempted and failed tallies.
+    pub fn record_shared(&self, rec: &mut Record, call: &str) {
+        let a = Analysis::new(&self.spans);
+        let layer = call.split('.').next().unwrap_or(call);
+        let busy_us = a.total_us(call);
+        rec.set(&format!("{call}_us"), stats::median(&a.durations_us(call)));
+        rec.set(&format!("{layer}.self_us_per_query"), self.per_query(a.self_us(call)));
+        rec.set("storage.self_us_per_query", self.per_query(a.total_us("storage.read")));
+        crate::storage_metrics(rec, &self.counters.io, self.queries(), busy_us);
+        crate::process_metrics(rec, &self.usage, self.queries());
+        crate::overhead(rec, self.phase.mean_us(), self.base.mean_us());
+        for w in [&self.base, &self.phase] {
+            rec.attempted += w.answered + w.failed;
+            rec.failed += w.failed;
+        }
+    }
 }

@@ -48,6 +48,72 @@ impl Workload {
     pub fn parse(name: &str) -> Option<Workload> {
         Self::ALL.into_iter().find(|w| w.name() == name)
     }
+
+    /// The per-layer metrics this workload's traced run does not measure,
+    /// because it never calls into what they measure: whole layers by name,
+    /// single metrics by full name. They are reported as 0; every other
+    /// per-layer metric must be measured.
+    pub fn idle(self) -> &'static [&'static str] {
+        match self {
+            Workload::KnnLocal => &[
+                "server",
+                "bench",
+                "router",
+                "pcp",
+                "query.approx_us",
+                "query.approx_candidates_per_query",
+                "query.approx_useful_ratio",
+                "core.tier_misses_per_query",
+                "core.shard_build_s",
+                "core.frontier_build_s",
+                "network.partition_s",
+            ],
+            Workload::KnnServed => &[
+                "query",
+                "router",
+                "pcp",
+                "core.tier_misses_per_query",
+                "core.shard_build_s",
+                "core.frontier_build_s",
+                "network.partition_s",
+            ],
+            Workload::RoutedLarge => &["server", "bench", "query", "pcp", "core.write_s"],
+            Workload::ApproxOracle => &[
+                "server",
+                "bench",
+                "router",
+                "core",
+                "query.knn_us",
+                "query.refinements_per_query",
+                "query.queue_pushes_per_query",
+                "query.max_queue_mean",
+                "query.pq_frac",
+                "network.partition_s",
+            ],
+        }
+    }
+
+    /// Whether per-layer metric `metric` is one this workload leaves idle.
+    pub fn idles(self, metric: &str) -> bool {
+        self.idle().iter().any(|&e| {
+            metric == e || metric.strip_prefix(e).is_some_and(|rest| rest.starts_with('.'))
+        })
+    }
+}
+
+/// Completes a traced run's per-layer metrics: the idle ones (see
+/// [`Workload::idle`]) read 0 with no samples behind them. Errors when the
+/// run measured an idle metric or left a metric it uses unmeasured.
+fn fill_idle(workload: Workload, rec: &mut Record) -> Result<(), String> {
+    for m in metrics::PER_LAYER {
+        match (workload.idles(m.name), rec.values.contains_key(m.name)) {
+            (true, true) => return Err(format!("{} is idle but was measured", m.name)),
+            (true, false) => rec.set_n(m.name, 0.0, Some(0)),
+            (false, false) => return Err(format!("{} was not measured", m.name)),
+            (false, true) => {}
+        }
+    }
+    Ok(())
 }
 
 /// Every constant the workloads depend on. All of them are stamped into
@@ -163,32 +229,71 @@ impl Constants {
     }
 
     fn stamp(&self, rec: &mut Record) {
-        let c = self;
-        for (k, v) in [
-            ("vertices", c.vertices.to_string()),
-            ("routed_vertices", c.routed_vertices.to_string()),
-            ("shard_target", c.shard_target.to_string()),
-            ("grid_exponent", c.grid_exponent.to_string()),
-            ("edge_factor", gen::EDGE_FACTOR.to_string()),
-            ("density", c.density.to_string()),
-            ("k", c.k.to_string()),
-            ("cache_fraction", c.cache_fraction.to_string()),
-            ("served_cache_fraction", c.served_cache_fraction.to_string()),
-            ("separation", c.separation.to_string()),
-            ("sessions", c.sessions.to_string()),
-            ("batch", c.batch.to_string()),
-            ("base_rate", c.base_rate.to_string()),
-            ("loaded_rate", c.loaded_rate.to_string()),
-            ("max_rungs", c.max_rungs.to_string()),
-            ("bisect_steps", c.bisect_steps.to_string()),
+        // Destructured in full, so a new constant cannot go unstamped.
+        let Constants {
+            vertices,
+            routed_vertices,
+            shard_target,
+            grid_exponent,
+            density,
+            k,
+            cache_fraction,
+            served_cache_fraction,
+            separation,
+            sessions,
+            batch,
+            base_rate,
+            loaded_rate,
+            max_rungs,
+            bisect_steps,
+            limit_p99_us,
+            min_rung_batches,
+            status_period_us,
+            setup_repeats,
+            windows,
+            served_windows,
+            warmup_s,
+            gate_queries,
+            routed_gate_queries,
+            served_gate_every,
+            queries,
+        } = self;
+        for (key, v) in [
+            ("vertices", vertices.to_string()),
+            ("routed_vertices", routed_vertices.to_string()),
+            ("shard_target", shard_target.to_string()),
+            ("grid_exponent", grid_exponent.to_string()),
+            ("density", density.to_string()),
+            ("k", k.to_string()),
+            ("cache_fraction", cache_fraction.to_string()),
+            ("served_cache_fraction", served_cache_fraction.to_string()),
+            ("separation", separation.to_string()),
+            ("sessions", sessions.to_string()),
+            ("batch", batch.to_string()),
+            ("base_rate", base_rate.to_string()),
+            ("loaded_rate", loaded_rate.to_string()),
+            ("max_rungs", max_rungs.to_string()),
+            ("bisect_steps", bisect_steps.to_string()),
+            ("limit_p99_us", limit_p99_us.to_string()),
+            ("min_rung_batches", min_rung_batches.to_string()),
+            ("status_period_us", status_period_us.to_string()),
+            ("setup_repeats", setup_repeats.to_string()),
+            ("windows", windows.to_string()),
+            ("served_windows", served_windows.to_string()),
+            ("warmup_s", warmup_s.to_string()),
+            ("gate_queries", gate_queries.to_string()),
+            ("routed_gate_queries", routed_gate_queries.to_string()),
+            ("served_gate_every", served_gate_every.to_string()),
+            ("queries", queries.to_string()),
             ("network_seed", gen::NETWORK_SEED.to_string()),
-            ("limit_p99_us", c.limit_p99_us.to_string()),
-            ("min_rung_batches", c.min_rung_batches.to_string()),
-            ("setup_repeats", c.setup_repeats.to_string()),
-            ("windows", c.windows.to_string()),
-            ("served_windows", c.served_windows.to_string()),
+            ("object_seed", gen::OBJECT_SEED.to_string()),
+            ("stream_queries", gen::STREAM_QUERIES.to_string()),
+            ("stream_schedule", gen::STREAM_SCHEDULE.to_string()),
+            ("edge_factor", gen::EDGE_FACTOR.to_string()),
+            ("detour", gen::DETOUR.to_string()),
+            ("extent", gen::EXTENT.to_string()),
         ] {
-            rec.stamp(k, v);
+            rec.stamp(key, v);
         }
     }
 }
@@ -242,10 +347,7 @@ pub fn run(cfg: &Config) -> Result<Record, String> {
         let path = cfg.work_dir.join(format!("trace-{}.jsonl", cfg.workload.name()));
         trace::write(&path, &spans, &snaps).map_err(|e| format!("write trace: {e}"))?;
         rec.stamp("trace_file", path.display());
-        // Layers a workload does not exercise read zero.
-        for m in metrics::PER_LAYER {
-            rec.values.entry(m.name).or_insert((0.0, None));
-        }
+        fill_idle(cfg.workload, &mut rec)?;
     }
     Ok(rec)
 }
@@ -269,22 +371,33 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= slack(a.abs().max(b.abs()))
 }
 
-/// Runs `setup` `repeats` times (dropping each result before the next
-/// build) and returns the last result with the median set-up time.
-fn repeated_setup<T>(
-    repeats: usize,
+/// Sets a workload up. A traced run sets up once, tracing the set-up
+/// calls. An untraced run sets up `setup_repeats` times, dropping each
+/// result before the next build, keeps the last and records the median
+/// time as `setup_s`.
+fn set_up<T>(
+    cfg: &Config,
+    rec: &mut Record,
     mut setup: impl FnMut() -> Result<T, String>,
-) -> Result<(T, f64), String> {
+) -> Result<T, String> {
+    if cfg.trace {
+        trace::enable(true);
+        let built = setup();
+        trace::enable(false);
+        return built;
+    }
+    let repeats = cfg.constants.setup_repeats.max(1);
     let mut kept = None;
     let mut times = Vec::with_capacity(repeats);
-    for _ in 0..repeats.max(1) {
+    for _ in 0..repeats {
         drop(kept.take());
         let t = Instant::now();
         let built = setup()?;
         times.push(t.elapsed().as_secs_f64());
         kept = Some(built);
     }
-    Ok((kept.expect("at least one set-up"), stats::median(&times)))
+    rec.set_n("setup_s", stats::median(&times), Some(repeats));
+    Ok(kept.expect("at least one set-up"))
 }
 
 /// Times `f` as a span named `name`; returns its result and seconds.
@@ -390,4 +503,54 @@ fn finish_ok_frac(rec: &mut Record) {
 /// Relative gap between a traced and an untraced phase's mean call time.
 fn overhead(rec: &mut Record, traced_mean_us: f64, untraced_mean_us: f64) {
     rec.set("trace.overhead_frac", traced_mean_us / untraced_mean_us.max(1e-9) - 1.0);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use metrics::PER_LAYER;
+
+    #[test]
+    fn every_idle_entry_names_per_layer_metrics() {
+        for w in Workload::ALL {
+            for &e in w.idle() {
+                let layer = format!("{e}.");
+                assert!(
+                    PER_LAYER.iter().any(|m| m.name == e || m.name.starts_with(&layer)),
+                    "{}: idle entry {e} names no per-layer metric",
+                    w.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fill_idle_refuses_a_missing_or_a_stray_metric() {
+        let w = Workload::KnnLocal;
+        let mut all_used = Record::default();
+        for m in PER_LAYER.iter().filter(|m| !w.idles(m.name)) {
+            all_used.set(m.name, 1.0);
+        }
+        let mut rec = Record { values: all_used.values.clone(), ..Default::default() };
+        fill_idle(w, &mut rec).unwrap();
+        assert_eq!(rec.values["server.queue_depth_max"], (0.0, Some(0)));
+        assert!(rec.result_line(PER_LAYER).is_ok());
+
+        let mut missing = Record { values: all_used.values.clone(), ..Default::default() };
+        missing.values.remove("storage.pool_hit_rate");
+        let err = fill_idle(w, &mut missing).unwrap_err();
+        assert!(err.contains("storage.pool_hit_rate"), "{err}");
+
+        let mut stray = Record { values: all_used.values, ..Default::default() };
+        stray.set("router.knn_us", 5.0);
+        let err = fill_idle(w, &mut stray).unwrap_err();
+        assert!(err.contains("router.knn_us"), "{err}");
+    }
+
+    #[test]
+    fn idle_matches_whole_layers_and_single_metrics() {
+        let w = Workload::RoutedLarge;
+        assert!(w.idles("server.send_us") && w.idles("core.write_s"));
+        assert!(!w.idles("core.write") && !w.idles("core.build_s") && !w.idles("router.knn_us"));
+    }
 }

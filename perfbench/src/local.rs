@@ -3,7 +3,6 @@
 //! core decode and storage do all the work.
 
 use crate::metrics::Record;
-use crate::sys::Usage;
 use crate::trace::{self, Analysis, TracingStore};
 use crate::{closed, contains, gen, timed, Config};
 use silc::disk::{write_index, DiskSilcIndex};
@@ -127,20 +126,9 @@ pub(crate) fn same_bits(a: &KnnResult, b: &KnnResult) -> bool {
 
 pub(crate) fn run(cfg: &Config, dir: &Path, rec: &mut Record) -> Result<(), String> {
     let c = &cfg.constants;
-    let k = c.k;
-    let built;
-    if cfg.trace {
-        trace::enable(true);
-        built = build(cfg, dir, c.cache_fraction, false)?;
-        trace::enable(false);
-    } else {
-        let (b, setup_s) =
-            crate::repeated_setup(c.setup_repeats, || build(cfg, dir, c.cache_fraction, false))?;
-        built = b;
-        rec.set_n("setup_s", setup_s, Some(c.setup_repeats));
-    }
+    let built = crate::set_up(cfg, rec, || build(cfg, dir, c.cache_fraction, false))?;
     let engine = QueryEngine::new(built.disk.clone(), built.objects.clone());
-    let k = k.min(built.objects.len());
+    let k = c.k.min(built.objects.len());
     let mut sessions: Vec<_> = (0..c.sessions).map(|_| engine.session()).collect();
     let mut accs: Vec<QueryAcc> = (0..c.sessions).map(|_| QueryAcc::default()).collect();
     let call = |s: &mut QuerySession<DiskSilcIndex>, q, acc: &mut QueryAcc| knn_call(s, q, k, acc);
@@ -148,43 +136,26 @@ pub(crate) fn run(cfg: &Config, dir: &Path, rec: &mut Record) -> Result<(), Stri
     closed::run(&mut sessions[..1], c.warmup_s, qs, 0, &mut [QueryAcc::default()], &call);
 
     if cfg.trace {
-        let half = cfg.seconds / 2.0;
-        let one = &mut sessions[..1];
-        let base = closed::run(one, half, qs, 1 << 14, &mut [QueryAcc::default()], &call);
-        let (io0, cache0) = (built.disk.io_stats(), built.disk.entry_cache_stats());
-        let usage0 = Usage::now();
-        trace::enable(true);
-        trace::snapshot("traced_phase_start", crate::io_values(&io0));
-        let phase = closed::run(one, half, qs, 1 << 15, &mut accs[..1], &call);
-        trace::snapshot("traced_phase_end", crate::io_values(&built.disk.io_stats()));
-        trace::enable(false);
-        let usage = Usage::now().since(usage0);
-        let io = crate::io_delta(built.disk.io_stats(), io0);
-        let cache = crate::cache_delta(built.disk.entry_cache_stats(), cache0);
-        let spans = trace::collected();
-        let a = Analysis::new(&spans);
-        let queries = phase.answered;
-        let qf = queries.max(1) as f64;
-        let busy_us = a.total_us("query.knn");
+        let disk = &built.disk;
+        let counters = || closed::Counters {
+            io: disk.io_stats(),
+            cache: disk.entry_cache_stats(),
+            ..Default::default()
+        };
+        let t = closed::traced(&mut sessions, cfg.seconds, qs, &mut accs, &call, counters);
+        t.record_shared(rec, "query.knn");
         let acc = &accs[0];
-        rec.set("query.knn_us", crate::stats::median(&a.durations_us("query.knn")));
-        rec.set("query.self_us_per_query", a.self_us("query.knn") / qf);
-        rec.set("query.refinements_per_query", acc.refinements as f64 / qf);
-        rec.set("query.queue_pushes_per_query", acc.queue_pushes as f64 / qf);
-        rec.set("query.max_queue_mean", acc.max_queue as f64 / qf);
+        let busy_us = Analysis::new(&t.spans).total_us("query.knn");
+        rec.set("query.refinements_per_query", t.per_query(acc.refinements as f64));
+        rec.set("query.queue_pushes_per_query", t.per_query(acc.queue_pushes as f64));
+        rec.set("query.max_queue_mean", t.per_query(acc.max_queue as f64));
         rec.set("query.pq_frac", acc.pq_nanos as f64 / 1e3 / busy_us.max(1e-9));
-        rec.set("core.entry_hit_rate", cache.hit_rate());
-        rec.set("core.entry_decodes_per_query", cache.misses as f64 / qf);
-        rec.set("storage.self_us_per_query", a.total_us("storage.read") / qf);
-        crate::storage_metrics(rec, &io, queries, busy_us);
-        crate::process_metrics(rec, &usage, queries);
-        crate::overhead(rec, phase.mean_us(), base.mean_us());
+        rec.set("core.entry_hit_rate", t.counters.cache.hit_rate());
+        rec.set("core.entry_decodes_per_query", t.per_query(t.counters.cache.misses as f64));
         rec.set("network.generate_s", built.generate_s);
         rec.set("core.build_s", built.build_s);
         rec.set("core.write_s", built.write_s);
         rec.set("core.open_s", built.open_s);
-        rec.attempted += phase.answered + phase.failed + base.answered + base.failed;
-        rec.failed += phase.failed + base.failed;
     } else {
         let run = closed::interleaved(&mut sessions, cfg.seconds, c.windows, qs, &mut accs, &call);
         crate::closed_loop_metrics(rec, &run)?;

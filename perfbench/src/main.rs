@@ -14,7 +14,7 @@ use std::process::ExitCode;
 fn usage(msg: &str) -> ExitCode {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: silc-perfbench --workload <{}> --seed <n> --seconds <s> --trace <0|1> [--smoke]",
+        "usage: silc-perfbench --workload <{}> --seed <n> --seconds <s> --trace <0|1>",
         Workload::ALL.map(Workload::name).join("|")
     );
     ExitCode::from(2)
@@ -22,7 +22,7 @@ fn usage(msg: &str) -> ExitCode {
 
 fn main() -> ExitCode {
     let mut workload = None;
-    let (mut seed, mut seconds, mut trace, mut smoke) = (1u64, 10.0f64, false, false);
+    let (mut seed, mut seconds, mut trace) = (1u64, 10.0f64, false);
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         let mut value = || args.next().unwrap_or_default();
@@ -44,7 +44,6 @@ fn main() -> ExitCode {
                 "1" => trace = true,
                 _ => return usage("--trace takes 0 or 1"),
             },
-            "--smoke" => smoke = true,
             other => return usage(&format!("unknown argument {other}")),
         }
     }
@@ -55,7 +54,7 @@ fn main() -> ExitCode {
         seed,
         seconds,
         trace,
-        constants: if smoke { Constants::smoke() } else { Constants::full() },
+        constants: Constants::full(),
         work_dir: root.join(".perfbench-work"),
         root,
     };

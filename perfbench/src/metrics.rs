@@ -89,8 +89,12 @@ pub const PER_LAYER: &[Def] = &[
     d("trace.overhead_frac", "ratio"),
 ];
 
+fn def(name: &str) -> Option<&'static Def> {
+    END_TO_END.iter().chain(PER_LAYER).find(|m| m.name == name)
+}
+
 pub fn unit_of(name: &str) -> Option<&'static str> {
-    END_TO_END.iter().chain(PER_LAYER).find(|m| m.name == name).map(|m| m.unit)
+    def(name).map(|m| m.unit)
 }
 
 /// One run's results: metric values (with sample counts where a value is
@@ -110,14 +114,14 @@ pub struct Record {
 
 impl Record {
     /// Sets metric `name`; panics on a name outside the dictionary.
-    pub fn set(&mut self, name: &'static str, value: f64) {
+    pub fn set(&mut self, name: &str, value: f64) {
         self.set_n(name, value, None);
     }
 
     /// Sets metric `name` with the number of samples behind it.
-    pub fn set_n(&mut self, name: &'static str, value: f64, samples: Option<usize>) {
-        assert!(unit_of(name).is_some(), "metric {name} is not in the dictionary");
-        self.values.insert(name, (value, samples));
+    pub fn set_n(&mut self, name: &str, value: f64, samples: Option<usize>) {
+        let m = def(name).unwrap_or_else(|| panic!("metric {name} is not in the dictionary"));
+        self.values.insert(m.name, (value, samples));
     }
 
     pub fn get(&self, name: &str) -> Option<f64> {

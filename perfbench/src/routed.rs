@@ -4,8 +4,7 @@
 //! which the router, the frontier tier and the partitioned build work.
 
 use crate::metrics::Record;
-use crate::sys::Usage;
-use crate::trace::{self, Analysis, TracingStore};
+use crate::trace::{self, TracingStore};
 use crate::{close, closed, gen, timed, Config};
 use silc::partitioned::{PartitionedBuildConfig, PartitionedSilcIndex};
 use silc_network::dijkstra::full_sssp;
@@ -121,16 +120,7 @@ fn tier_io(index: &PartitionedSilcIndex) -> IoStats {
 
 pub(crate) fn run(cfg: &Config, dir: &Path, rec: &mut Record) -> Result<(), String> {
     let c = &cfg.constants;
-    let r = if cfg.trace {
-        trace::enable(true);
-        let r = setup(cfg, dir)?;
-        trace::enable(false);
-        r
-    } else {
-        let (r, setup_s) = crate::repeated_setup(c.setup_repeats, || setup(cfg, dir))?;
-        rec.set_n("setup_s", setup_s, Some(c.setup_repeats));
-        r
-    };
+    let r = crate::set_up(cfg, rec, || setup(cfg, dir))?;
     let k = c.k.min(r.objects.len());
     let mut sessions: Vec<_> = (0..c.sessions).map(|_| r.engine.session()).collect();
     let mut accs: Vec<RouterAcc> = (0..c.sessions).map(|_| RouterAcc::default()).collect();
@@ -139,48 +129,29 @@ pub(crate) fn run(cfg: &Config, dir: &Path, rec: &mut Record) -> Result<(), Stri
     closed::run(&mut sessions[..1], c.warmup_s, qs, 0, &mut [RouterAcc::default()], &call);
 
     if cfg.trace {
-        let half = cfg.seconds / 2.0;
-        let one = &mut sessions[..1];
-        let base = closed::run(one, half, qs, 1 << 14, &mut [RouterAcc::default()], &call);
-        let (io0, cache0, tier0) = (r.index.io_stats(), entry_cache(&r.index), tier_io(&r.index));
-        let usage0 = Usage::now();
-        trace::enable(true);
-        trace::snapshot("traced_phase_start", crate::io_values(&io0));
-        let phase = closed::run(one, half, qs, 1 << 15, &mut accs[..1], &call);
-        trace::snapshot("traced_phase_end", crate::io_values(&r.index.io_stats()));
-        trace::enable(false);
-        let usage = Usage::now().since(usage0);
-        let io = crate::io_delta(r.index.io_stats(), io0);
-        let cache = crate::cache_delta(entry_cache(&r.index), cache0);
-        let tier = crate::io_delta(tier_io(&r.index), tier0);
-        let spans = trace::collected();
-        let a = Analysis::new(&spans);
+        let index = &r.index;
+        let counters = || closed::Counters {
+            io: index.io_stats(),
+            cache: entry_cache(index),
+            tier: tier_io(index),
+        };
+        let t = closed::traced(&mut sessions, cfg.seconds, qs, &mut accs, &call, counters);
+        t.record_shared(rec, "router.knn");
         let acc = &accs[0];
-        let queries = phase.answered + phase.failed;
-        let qf = queries.max(1) as f64;
-        let busy_us = a.total_us("router.knn");
-        rec.set("router.knn_us", crate::stats::median(&a.durations_us("router.knn")));
-        rec.set("router.self_us_per_query", a.self_us("router.knn") / qf);
-        rec.set("router.shards_expanded_mean", acc.shards_expanded as f64 / qf);
-        rec.set("router.frontier_dijkstra_frac", acc.frontier_dijkstra as f64 / qf);
-        rec.set("router.candidates_per_query", acc.candidates as f64 / qf);
+        rec.set("router.shards_expanded_mean", t.per_query(acc.shards_expanded as f64));
+        rec.set("router.frontier_dijkstra_frac", t.per_query(acc.frontier_dijkstra as f64));
+        rec.set("router.candidates_per_query", t.per_query(acc.candidates as f64));
         rec.set("router.prune_ratio", acc.pruned as f64 / acc.candidates.max(1) as f64);
         rec.set("router.degraded_total", acc.degraded as f64);
-        rec.set("core.entry_hit_rate", cache.hit_rate());
-        rec.set("core.entry_decodes_per_query", cache.misses as f64 / qf);
-        rec.set("core.tier_misses_per_query", tier.misses as f64 / qf);
-        rec.set("storage.self_us_per_query", a.total_us("storage.read") / qf);
-        crate::storage_metrics(rec, &io, queries, busy_us);
-        crate::process_metrics(rec, &usage, queries);
-        crate::overhead(rec, phase.mean_us(), base.mean_us());
+        rec.set("core.entry_hit_rate", t.counters.cache.hit_rate());
+        rec.set("core.entry_decodes_per_query", t.per_query(t.counters.cache.misses as f64));
+        rec.set("core.tier_misses_per_query", t.per_query(t.counters.tier.misses as f64));
         rec.set("network.generate_s", r.generate_s);
         rec.set("network.partition_s", (r.build_s - r.shard_build_s - r.frontier_build_s).max(0.0));
         rec.set("core.build_s", r.build_s);
         rec.set("core.shard_build_s", r.shard_build_s);
         rec.set("core.frontier_build_s", r.frontier_build_s);
         rec.set("core.open_s", r.open_s);
-        rec.attempted += phase.answered + phase.failed + base.answered + base.failed;
-        rec.failed += phase.failed + base.failed;
     } else {
         let run = closed::interleaved(&mut sessions, cfg.seconds, c.windows, qs, &mut accs, &call);
         crate::closed_loop_metrics(rec, &run)?;

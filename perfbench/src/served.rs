@@ -294,16 +294,7 @@ fn pct(v: &[f64], p: f64, what: &str) -> Result<f64, String> {
 
 pub(crate) fn run(cfg: &Config, dir: &Path, rec: &mut Record) -> Result<(), String> {
     let c = &cfg.constants;
-    let served = if cfg.trace {
-        trace::enable(true);
-        let s = setup(cfg, dir)?;
-        trace::enable(false);
-        s
-    } else {
-        let (s, setup_s) = crate::repeated_setup(c.setup_repeats, || setup(cfg, dir))?;
-        rec.set_n("setup_s", setup_s, Some(c.setup_repeats));
-        s
-    };
+    let served = crate::set_up(cfg, rec, || setup(cfg, dir))?;
     let Served { built, engine, server } = &served;
     let k = c.k.min(built.objects.len()) as u32;
     let qs = &built.queries;

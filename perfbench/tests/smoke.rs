@@ -76,6 +76,17 @@ fn untraced(workload: Workload) -> Record {
 fn traced(workload: Workload) -> (Record, String) {
     let rec = smoke(workload, true);
     assert_emits(&rec, PER_LAYER, "per_layer", workload.name());
+    // Only the workload's idle metrics may be the zero-sample fill.
+    for m in PER_LAYER {
+        let filled = rec.values[m.name].1 == Some(0);
+        assert_eq!(
+            filled,
+            workload.idles(m.name),
+            "{}: {} filled: {filled}",
+            workload.name(),
+            m.name
+        );
+    }
     assert_eq!(rec.get("storage.faults_seen"), Some(0.0));
     assert_eq!(rec.get("storage.retries"), Some(0.0));
     let names = rec.stamps.iter().find(|(k, _)| *k == "span_names").unwrap().1.clone();
