@@ -124,7 +124,7 @@ fn main() {
     let p95_us = percentile(&lat_us, 95.0);
     eprintln!("# knn: mean {mean_us:.1}µs, p95 {p95_us:.1}µs over {} queries", lat_us.len());
 
-    // The serde shims are no-op derives, so the JSON is assembled by hand;
+    // The workspace has no JSON library, so the JSON is assembled by hand;
     // the format is flat on purpose — diffs of re-recorded baselines should
     // read line-by-line.
     let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);

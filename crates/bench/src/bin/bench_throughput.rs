@@ -226,7 +226,7 @@ fn main() {
         );
     }
 
-    // Hand-assembled JSON (the serde shims are no-op derives); flat fields
+    // Hand-assembled JSON (the workspace has no JSON library); flat fields
     // plus one object per run so re-recorded files diff line by line.
     let host_threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     let mut json = format!(

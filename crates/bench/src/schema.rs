@@ -2,8 +2,8 @@
 //! check them.
 //!
 //! The recorder binaries (`bench_baseline`, `bench_throughput`,
-//! `bench_tradeoff`, `bench_scale`, `bench_latency`) hand-assemble their JSON output (the serde shims are
-//! no-op derives), which means nothing ties the **committed**
+//! `bench_tradeoff`, `bench_scale`, `bench_latency`) hand-assemble their JSON output (the
+//! workspace has no JSON library), which means nothing ties the **committed**
 //! `BENCH_*.json` files to the recorders' current output shape: a PR can
 //! change a recorder's fields and silently leave the committed baselines
 //! describing a measurement that no longer exists. The `bench_check` binary
@@ -293,14 +293,6 @@ pub const TRADEOFF_SCHEMA: Shape = Shape::Obj(&[
     ("guaranteed_epsilon_apriori", Shape::Num),
     ("pcp_disk_nocksum_qps", Shape::Num),
     ("checksum_overhead_pct", Shape::Num),
-    ("silc_v2_bytes", Shape::Num),
-    ("silc_v2_qps", Shape::Num),
-    ("silc_v2_decode_s", Shape::Num),
-    ("silc_v3_decode_s", Shape::Num),
-    ("pcp_v3_bytes", Shape::Num),
-    ("pcp_v3_qps", Shape::Num),
-    ("pcp_v3_decode_s", Shape::Num),
-    ("pcp_v4_decode_s", Shape::Num),
     (
         "backends",
         Shape::Arr(&Shape::Obj(&[
@@ -343,7 +335,6 @@ pub const SCALE_SCHEMA: Shape = Shape::Obj(&[
             ("speedup_vs_projected", Shape::Num),
             ("bytes_total", Shape::Num),
             ("entry_bytes", Shape::Num),
-            ("entry_bytes_fixed", Shape::Num),
             ("frontier_bytes", Shape::Num),
             ("shard_build_s", Shape::Num),
             ("frontier_build_s", Shape::Num),

@@ -7,42 +7,35 @@
 //! serves lookups through `silc_storage::BufferPool`, so those experiments
 //! measure genuine page reads.
 //!
-//! ## File layout (format v3, magic `SILCIDX3`)
+//! ## File layout (magic `SILCIDX4`)
+//!
+//! The envelope — magic, span lengths, page padding and the per-page
+//! checksum table — is [`silc_storage::container`]'s. Inside it:
 //!
 //! ```text
-//! header    magic "SILCIDX3", n, q, world bounds, global min ratio,
-//!           entry-region offset, entry-region length, checksum-table offset
-//! codes     n × u64   — per-vertex grid-cell Morton codes
-//! directory n × (u64, u32) — per vertex: byte offset of its record span
-//!           (relative to the entry region) + entry count
-//! entries   variable-length records, all vertices concatenated; within a
+//! meta      n u32 | q u32 | world bounds 4×f64 | global min ratio f64
+//!           codes     n × u64 — per-vertex grid-cell Morton codes
+//!           directory n × (u64, u32) — per vertex: byte offset of its
+//!                     record span in the payload + entry count
+//! payload   variable-length records, all vertices concatenated; within a
 //!           vertex the blocks are sorted by Morton base and disjoint, so
 //!           each record stores (LEB128 varints unless noted):
 //!           level | gap = base − previous block's end | color | λ− f32 | λ+ f32
 //!           The first record's gap is its absolute base. A tiling quadtree
 //!           has gap 0 almost everywhere, so the usual record is
-//!           1 + 1 + 1 + 8 = 11 bytes against the fixed 19 of v2.
-//! (page padding)
-//! checksums one 64-bit digest (8-lane FNV-1a) per payload page — verified on every physical
-//!           page read, so bit rot surfaces as a typed error naming the
-//!           page instead of a silently wrong distance
+//!           1 + 1 + 1 + 8 = 11 bytes against 19 for fixed-width fields.
 //! ```
 //!
-//! λ bounds are byte-identical to v2's, so a v3 file decodes into exactly
-//! the same [`BlockEntry`] values as the v2 encoding of the same index —
-//! everything above the entry cache cannot tell the formats apart. Varint
-//! decoding is canonical and fully validated (level ≤ q, aligned base,
-//! block inside the grid, exact span consumption), so corrupt bytes that
-//! slip past the page checksums still surface as a typed
-//! [`QueryError::Corrupt`], never a panic or a silently wrong answer.
+//! The metadata is checksum-verified at open time; every payload page is
+//! verified on its physical read, so bit rot surfaces as a typed error
+//! naming the page instead of a silently wrong distance. Varint decoding
+//! is canonical and fully validated (level ≤ q, aligned base, block inside
+//! the grid, exact span consumption), so corrupt bytes that slip past the
+//! page checksums still surface as a typed [`QueryError::Corrupt`], never
+//! a panic or a silently wrong answer.
 //!
-//! Formats v1 (`SILCIDX1`, no checksum table) and v2 (`SILCIDX2`, fixed
-//! 19-byte records) stay readable; [`DiskSilcIndex::format_version`]
-//! reports which one a file is, and [`write_index_with_version`] can still
-//! produce them.
-//!
-//! Header, codes and directory are small and held in memory (they are the
-//! "directory" any disk index keeps pinned); only the entry region — the
+//! Codes and directory are small and held in memory (they are the
+//! "directory" any disk index keeps pinned); only the entry payload — the
 //! `O(N√N)` part — goes through the buffer pool. λ bounds are narrowed to
 //! `f32` with outward rounding, so disk intervals are never tighter than the
 //! exact ones (correctness is preserved; bounds may be a hair looser).
@@ -57,21 +50,18 @@ use silc_morton::{MortonBlock, MortonCode};
 use silc_network::{SpatialNetwork, VertexId};
 use silc_storage::varint::{self, VarintReader};
 use silc_storage::{
-    BufferPool, ChecksumTable, FilePageStore, PageStore, PrefetchPolicy, RetryPolicy, TieredPool,
-    PAGE_SIZE,
+    container, BufferPool, FilePageStore, PageStore, PrefetchPolicy, RetryPolicy, TieredPool,
 };
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
-const MAGIC_V1: &[u8; 8] = b"SILCIDX1";
-const MAGIC_V2: &[u8; 8] = b"SILCIDX2";
-const MAGIC_V3: &[u8; 8] = b"SILCIDX3";
-/// The format version [`write_index`] and [`encode_index`] produce.
-pub const CURRENT_VERSION: u32 = 3;
-/// Bytes per serialized block entry in the fixed-record formats (v1/v2);
-/// v3 records are variable-length.
-pub const ENTRY_BYTES: usize = 19;
+/// The container magic of the one live SILC index format.
+const MAGIC: &[u8; 8] = b"SILCIDX4";
+/// Metadata bytes before the per-vertex arrays: n, q, bounds, min ratio.
+const META_FIXED: usize = 4 + 4 + 32 + 8;
+/// Metadata bytes per vertex: its Morton code and its directory slot.
+const META_PER_VERTEX: usize = 8 + 8 + 4;
 
 /// Rounds toward −∞ when narrowing to `f32`.
 fn f32_down(x: f64) -> f32 {
@@ -93,10 +83,10 @@ fn f32_up(x: f64) -> f32 {
     }
 }
 
-/// Appends one vertex's v3 record span: per entry, varint level, varint
-/// gap from the previous block's end (the first entry's absolute base),
-/// varint color, then the two λ `f32`s bit-identical to the v2 encoding.
-fn encode_entries_v3(entries: &[BlockEntry], buf: &mut Vec<u8>) {
+/// Appends one vertex's record span: per entry, varint level, varint gap
+/// from the previous block's end (the first entry's absolute base), varint
+/// color, then the two outward-rounded λ `f32`s.
+fn encode_entries(entries: &[BlockEntry], buf: &mut Vec<u8>) {
     let mut prev_end = 0u64;
     for e in entries {
         varint::encode_u64(e.block.level() as u64, buf);
@@ -110,13 +100,13 @@ fn encode_entries_v3(entries: &[BlockEntry], buf: &mut Vec<u8>) {
     }
 }
 
-/// Decodes one vertex's v3 record span, validating every invariant the
+/// Decodes one vertex's record span, validating every invariant the
 /// encoder maintains: canonical varints, level ≤ `q`, aligned base, block
 /// inside the `4^q`-cell grid, blocks sorted and disjoint (gaps are
 /// non-negative by construction), and the span consumed exactly. Any
 /// violation is an error — corrupt bytes can never produce a wrong entry
 /// list or a panic.
-fn decode_entries_v3(raw: &[u8], count: u32, q: u32) -> io::Result<Arc<[BlockEntry]>> {
+fn decode_entries(raw: &[u8], count: u32, q: u32) -> io::Result<Arc<[BlockEntry]>> {
     let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     let grid_end = 1u64 << (2 * q); // q ≤ 16, validated at open
     let mut r = VarintReader::new(raw);
@@ -159,130 +149,35 @@ fn decode_entries_v3(raw: &[u8], count: u32, q: u32) -> io::Result<Arc<[BlockEnt
     Ok(entries.into())
 }
 
-/// Serializes `index` in the given format version: 1 = fixed records, no
-/// checksums; 2 = fixed records + per-page checksum table; 3 = delta+varint
-/// records + checksum table.
-fn encode_with_version(index: &SilcIndex, version: u32) -> Vec<u8> {
-    assert!((1..=CURRENT_VERSION).contains(&version), "unknown SILC format version {version}");
+/// Serializes `index` into its page-file byte image.
+pub fn encode_index(index: &SilcIndex) -> Vec<u8> {
     let g = index.network();
     let n = g.vertex_count();
-
-    // The entry region and its directory. v1/v2 directories address fixed
-    // 19-byte records by entry index; the v3 directory addresses each
-    // vertex's variable-length span by byte offset.
-    let mut entry_buf: Vec<u8> = Vec::new();
-    let mut directory: Vec<(u64, u32)> = Vec::with_capacity(n);
-    for v in g.vertices() {
-        let count = index.tree(v).block_count() as u32;
-        if version >= 3 {
-            directory.push((entry_buf.len() as u64, count));
-            encode_entries_v3(index.tree(v).entries(), &mut entry_buf);
-        } else {
-            directory.push(((entry_buf.len() / ENTRY_BYTES) as u64, count));
-            for e in index.tree(v).entries() {
-                entry_buf.put_u64_le(e.block.start());
-                entry_buf.put_u8(e.block.level());
-                entry_buf.put_u16_le(e.color);
-                entry_buf.put_f32_le(f32_down(e.lambda_lo));
-                entry_buf.put_f32_le(f32_up(e.lambda_hi));
-            }
-        }
-    }
-
-    // v2 added the checksum-table offset to the header; v3 adds the entry
-    // region's byte length (variable-length records need an explicit end).
-    let header_len = 8
-        + 4
-        + 4
-        + 32
-        + 8
-        + 8
-        + if version >= 3 { 8 } else { 0 }
-        + if version >= 2 { 8 } else { 0 };
-    let meta_len = header_len + n * 8 + n * 12;
-    let entries_base = meta_len as u64;
-    let payload_len = meta_len + entry_buf.len();
-    // The checksum table starts on the page boundary after the payload.
-    let cksum_base = payload_len.div_ceil(PAGE_SIZE) * PAGE_SIZE;
-
-    let mut buf = Vec::with_capacity(payload_len);
-    buf.put_slice(match version {
-        1 => MAGIC_V1,
-        2 => MAGIC_V2,
-        _ => MAGIC_V3,
-    });
-    buf.put_u32_le(n as u32);
-    buf.put_u32_le(index.mapper().q());
+    let mut payload: Vec<u8> = Vec::new();
+    let mut meta = Vec::with_capacity(META_FIXED + n * META_PER_VERTEX);
+    meta.put_u32_le(n as u32);
+    meta.put_u32_le(index.mapper().q());
     let b = index.mapper().bounds();
-    buf.put_f64_le(b.min_x);
-    buf.put_f64_le(b.min_y);
-    buf.put_f64_le(b.max_x);
-    buf.put_f64_le(b.max_y);
-    buf.put_f64_le(index.global_min_ratio());
-    buf.put_u64_le(entries_base);
-    if version >= 3 {
-        buf.put_u64_le(entry_buf.len() as u64);
-    }
-    if version >= 2 {
-        buf.put_u64_le(cksum_base as u64);
+    for x in [b.min_x, b.min_y, b.max_x, b.max_y, index.global_min_ratio()] {
+        meta.put_f64_le(x);
     }
     for v in g.vertices() {
-        buf.put_u64_le(index.vertex_code(v).value());
+        meta.put_u64_le(index.vertex_code(v).value());
     }
-    for &(start, count) in &directory {
-        buf.put_u64_le(start);
-        buf.put_u32_le(count);
+    for v in g.vertices() {
+        meta.put_u64_le(payload.len() as u64);
+        meta.put_u32_le(index.tree(v).block_count() as u32);
+        encode_entries(index.tree(v).entries(), &mut payload);
     }
-    debug_assert_eq!(buf.len(), meta_len);
-    buf.extend_from_slice(&entry_buf);
-    if version >= 2 {
-        // Digest the page-padded payload image, then append the table on
-        // the next page boundary.
-        let table = ChecksumTable::compute(&buf);
-        buf.resize(cksum_base, 0);
-        buf.extend_from_slice(&table.to_bytes());
-    }
-    buf
+    container::encode(MAGIC, &meta, payload)
 }
 
-/// Serializes `index` into the current ([`CURRENT_VERSION`]) byte image.
-pub fn encode_index(index: &SilcIndex) -> Vec<u8> {
-    encode_with_version(index, CURRENT_VERSION)
-}
-
-/// Serializes `index` in an explicit format version — the writer knob
-/// that keeps every older format producible for compatibility tests and
-/// for the old-vs-new trade-off benchmark.
-///
-/// # Panics
-/// Panics if `version` is not in `1..=`[`CURRENT_VERSION`].
-pub fn encode_index_with_version(index: &SilcIndex, version: u32) -> Vec<u8> {
-    encode_with_version(index, version)
-}
-
-/// Serializes `index` into a page file at `path` (format
-/// [`CURRENT_VERSION`]). The write is crash-safe: a temp file in the
-/// target directory, fsynced, then atomically renamed — a crash mid-write
-/// never leaves a truncated index at `path`.
+/// Serializes `index` into a page file at `path`. The write is crash-safe:
+/// a temp file in the target directory, fsynced, then atomically renamed —
+/// a crash mid-write never leaves a truncated index at `path`.
 pub fn write_index<P: AsRef<Path>>(index: &SilcIndex, path: P) -> Result<(), BuildError> {
-    write_index_with_version(index, path, CURRENT_VERSION)
-}
-
-/// [`write_index`] with an explicit format version (see
-/// [`encode_index_with_version`]).
-pub fn write_index_with_version<P: AsRef<Path>>(
-    index: &SilcIndex,
-    path: P,
-    version: u32,
-) -> Result<(), BuildError> {
-    FilePageStore::create(path, &encode_with_version(index, version))?;
+    FilePageStore::create(path, &encode_index(index))?;
     Ok(())
-}
-
-/// Serializes `index` in the legacy v1 format (no checksum table) — kept
-/// so the backward-compatibility path stays exercised by tests.
-pub fn write_index_v1<P: AsRef<Path>>(index: &SilcIndex, path: P) -> Result<(), BuildError> {
-    write_index_with_version(index, path, 1)
 }
 
 /// A SILC index served from a page file through an LRU buffer pool.
@@ -294,16 +189,13 @@ pub struct DiskSilcIndex {
     network: Arc<SpatialNetwork>,
     mapper: GridMapper,
     codes: Vec<MortonCode>,
-    /// Per vertex: where its records start (entry index for v1/v2, byte
-    /// offset into the entry region for v3) and how many there are.
+    /// Per vertex: the byte offset of its record span in the entry region
+    /// and how many records it holds.
     directory: Vec<(u64, u32)>,
     entries_base: u64,
     /// Byte length of the entry region.
     entries_len: u64,
     min_ratio: f64,
-    /// On-disk format version (1 = legacy, 2 = checksummed, 3 =
-    /// compressed).
-    version: u32,
     /// The two-tier read path: the page pool plus decoded entry lists per
     /// vertex, so repeated probes of the same vertex's quadtree (every
     /// refinement step, every block descent) do not re-deserialize its full
@@ -350,10 +242,9 @@ impl DiskSilcIndex {
 
     /// Opens an index from an arbitrary page store — the seam that lets
     /// tests wrap the file in a fault injector, or serve an index from any
-    /// other page source. Validates the format exactly like
-    /// [`Self::open`]; v2 files additionally get their metadata pages
-    /// checksum-verified here and their entry pages verified lazily in the
-    /// buffer pool.
+    /// other page source. Validates the container and the metadata exactly
+    /// like [`Self::open`]: the metadata pages are checksum-verified here,
+    /// the entry pages lazily in the buffer pool.
     pub fn from_store(
         store: Box<dyn PageStore>,
         network: Arc<SpatialNetwork>,
@@ -361,144 +252,60 @@ impl DiskSilcIndex {
         entry_cache_capacity: usize,
     ) -> Result<Self, BuildError> {
         let corrupt = |msg: &str| BuildError::Corrupt(msg.to_string());
-        let file_len = store.page_count() * PAGE_SIZE as u64;
-
-        let base_header_len = 8 + 4 + 4 + 32 + 8 + 8;
-        if file_len < base_header_len as u64 + 8 {
-            return Err(corrupt("file too small for header"));
+        let opened = container::open(&store, MAGIC).map_err(BuildError::from_open)?;
+        let mut m = &opened.meta[..];
+        if m.len() < META_FIXED {
+            return Err(corrupt("metadata too small for its fixed fields"));
         }
-        let magic_bytes = silc_storage::read_span(&store, 0, 8)?;
-        // Infallible: read_span returned exactly the 8 bytes requested.
-        let version = match <&[u8; 8]>::try_from(&magic_bytes[..]).unwrap() {
-            m if m == MAGIC_V1 => 1,
-            m if m == MAGIC_V2 => 2,
-            m if m == MAGIC_V3 => 3,
-            _ => return Err(corrupt("bad magic")),
-        };
-        let header_len =
-            base_header_len + if version >= 3 { 8 } else { 0 } + if version >= 2 { 8 } else { 0 };
-
-        let header = silc_storage::read_span(&store, 0, header_len)?;
-        let mut h = &header[8..];
-        let n = h.get_u32_le() as usize;
+        let n = m.get_u32_le() as usize;
         if n != network.vertex_count() {
             return Err(corrupt("index vertex count does not match network"));
         }
-        let q = h.get_u32_le();
+        if m.len() != META_FIXED - 4 + n * META_PER_VERTEX {
+            return Err(corrupt("metadata size does not match the vertex count"));
+        }
+        let q = m.get_u32_le();
         if !(1..=16).contains(&q) {
             return Err(corrupt("grid exponent out of range"));
         }
-        let bounds = Rect::new(h.get_f64_le(), h.get_f64_le(), h.get_f64_le(), h.get_f64_le());
-        let min_ratio = h.get_f64_le();
-        let entries_base = h.get_u64_le();
-        let entries_len_field = if version >= 3 { Some(h.get_u64_le()) } else { None };
-
-        // v2: load the checksum table, then re-read the metadata region
-        // verified against it. (The 72 header bytes parsed above get
-        // re-verified as part of the metadata span.)
-        let meta_len = header_len + n * 8 + n * 12;
-        let checks = if version >= 2 {
-            let cksum_base = h.get_u64_le();
-            if cksum_base % PAGE_SIZE as u64 != 0 {
-                return Err(corrupt("checksum table is not page-aligned"));
-            }
-            let payload_pages = (cksum_base / PAGE_SIZE as u64) as usize;
-            let table_bytes = payload_pages * 8;
-            if cksum_base + table_bytes as u64 > file_len {
-                return Err(corrupt("checksum table extends past end of file"));
-            }
-            let raw = silc_storage::read_span(&store, cksum_base as usize, table_bytes)?;
-            let table = ChecksumTable::from_bytes(&raw, payload_pages)
-                .map_err(|e| BuildError::Corrupt(e.to_string()))?;
-            if meta_len > cksum_base as usize {
-                return Err(corrupt("metadata region overlaps checksum table"));
-            }
-            Some(Arc::new(table))
-        } else {
-            None
-        };
-        let meta = match &checks {
-            Some(table) => silc_storage::checksum::read_span_verified(&store, 0, meta_len, table)
-                .map_err(|e| BuildError::Corrupt(e.to_string()))?,
-            None => silc_storage::read_span(&store, 0, meta_len)?,
-        };
-        let mut m = &meta[header_len..];
-        let mut codes = Vec::with_capacity(n);
-        for _ in 0..n {
-            codes.push(MortonCode(m.get_u64_le()));
-        }
+        let bounds = Rect::new(m.get_f64_le(), m.get_f64_le(), m.get_f64_le(), m.get_f64_le());
+        let min_ratio = m.get_f64_le();
+        let codes = (0..n).map(|_| MortonCode(m.get_u64_le())).collect();
+        // Byte-offset directory: spans are contiguous, so each vertex's
+        // span ends where the next one starts (the last at the region end).
         let mut directory = Vec::with_capacity(n);
-        let mut total_entries = 0u64;
         let mut prev_start = 0u64;
         for i in 0..n {
             let start = m.get_u64_le();
             let count = m.get_u32_le();
-            if version >= 3 {
-                // Byte-offset directory: spans are contiguous, so each
-                // vertex's span ends where the next one starts.
-                if i == 0 && start != 0 {
-                    return Err(corrupt("directory does not start at offset 0"));
-                }
-                if start < prev_start {
-                    return Err(corrupt("directory offsets are not sorted"));
-                }
-                prev_start = start;
-            } else if start != total_entries {
-                return Err(corrupt("directory entries are not contiguous"));
+            if i == 0 && start != 0 {
+                return Err(corrupt("directory does not start at offset 0"));
             }
-            total_entries += count as u64;
+            if start < prev_start {
+                return Err(corrupt("directory offsets are not sorted"));
+            }
+            prev_start = start;
             directory.push((start, count));
         }
-        let entries_len = match entries_len_field {
-            Some(len) => {
-                if prev_start > len {
-                    return Err(corrupt("directory offset past entry region"));
-                }
-                len
-            }
-            None => total_entries * ENTRY_BYTES as u64,
-        };
-        let needed = entries_base + entries_len;
-        let entry_limit = match &checks {
-            Some(table) => (table.pages() * PAGE_SIZE) as u64,
-            None => file_len,
-        };
-        if needed > entry_limit {
-            return Err(corrupt("entry region extends past end of file"));
+        if prev_start > opened.payload_len {
+            return Err(corrupt("directory offset past entry region"));
         }
 
         let mut cached = TieredPool::new(store, cache_fraction, entry_cache_capacity);
-        if let Some(table) = checks {
-            cached.set_checksums(table);
-        }
+        cached.set_checksums(opened.checks);
         Ok(DiskSilcIndex {
             mapper: GridMapper::new(bounds, q),
             network,
             codes,
             directory,
-            entries_base,
-            entries_len,
+            entries_base: opened.payload_base,
+            entries_len: opened.payload_len,
             min_ratio,
-            version,
             cached,
         })
     }
 
-    /// The on-disk format version this index was opened from: 1 (legacy,
-    /// no checksums), 2 (per-page checksum table) or 3 (compressed
-    /// delta+varint records).
-    pub fn format_version(&self) -> u32 {
-        self.version
-    }
-
-    /// Total number of block entries across all vertices — with
-    /// [`Self::entry_region_bytes`], what a size projection between
-    /// formats needs.
-    pub fn entry_count(&self) -> u64 {
-        self.directory.iter().map(|&(_, count)| count as u64).sum()
-    }
-
-    /// Byte length of the (possibly compressed) entry region.
+    /// Byte length of the compressed entry region.
     pub fn entry_region_bytes(&self) -> u64 {
         self.entries_len
     }
@@ -516,9 +323,8 @@ impl DiskSilcIndex {
         self.cached.set_prefetch_policy(prefetch);
     }
 
-    /// Opts this open out of per-page checksum verification (`SILCIDX2`
-    /// files verify on every physical page read by default; v1 files carry
-    /// no checksums and are unaffected). For trusted media and for
+    /// Opts this open out of per-page checksum verification (every page is
+    /// verified on its physical read by default). For trusted media and for
     /// measuring the verification overhead — corruption then goes
     /// undetected. Configure before sharing the index across threads.
     pub fn disable_checksum_validation(&mut self) {
@@ -561,50 +367,27 @@ impl DiskSilcIndex {
     /// propagates; nothing is cached for `u`, so a later call re-attempts
     /// the read.
     fn try_load_entries(&self, u: VertexId) -> io::Result<Arc<[BlockEntry]>> {
-        self.cached.try_get_or_decode(u.index() as u64, |pool| self.decode_entries(pool, u))
+        self.cached.try_get_or_decode(u.index() as u64, |pool| self.read_entries(pool, u))
     }
 
-    /// Decodes `u`'s entry list from its pages through the buffer pool.
-    fn decode_entries(
+    /// Reads and decodes `u`'s entry list from its pages through the pool.
+    fn read_entries(
         &self,
         pool: &BufferPool<Box<dyn PageStore>>,
         u: VertexId,
     ) -> io::Result<Arc<[BlockEntry]>> {
         let (start, count) = self.directory[u.index()];
-        let (byte_lo, byte_hi) = if self.version >= 3 {
-            let end = self.directory.get(u.index() + 1).map_or(self.entries_len, |d| d.0);
-            (self.entries_base + start, self.entries_base + end)
-        } else {
-            let lo = self.entries_base + start * ENTRY_BYTES as u64;
-            (lo, lo + count as u64 * ENTRY_BYTES as u64)
-        };
+        let end = self.directory.get(u.index() + 1).map_or(self.entries_len, |d| d.0);
+        let (byte_lo, byte_hi) = (self.entries_base + start, self.entries_base + end);
         let mut raw = Vec::with_capacity((byte_hi.saturating_sub(byte_lo)) as usize);
         pool.read_range(byte_lo, byte_hi, &mut raw)?;
-        if self.version >= 3 {
-            // Any decode failure — truncated or malformed varint, invariant
-            // violation — is structural corruption; normalize it to one
-            // InvalidData error naming the vertex, which the query layer
-            // lifts to a typed `Corrupt`.
-            return decode_entries_v3(&raw, count, self.mapper.q()).map_err(|e| {
-                io::Error::new(io::ErrorKind::InvalidData, format!("vertex {}: {e}", u.index()))
-            });
-        }
-        let mut r = &raw[..];
-        let mut entries = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let base = r.get_u64_le();
-            let level = r.get_u8();
-            let color = r.get_u16_le();
-            let lambda_lo = (r.get_f32_le() as f64).max(0.0);
-            let lambda_hi = r.get_f32_le() as f64;
-            entries.push(BlockEntry {
-                block: MortonBlock::new(MortonCode(base), level),
-                color,
-                lambda_lo,
-                lambda_hi,
-            });
-        }
-        Ok(entries.into())
+        // Any decode failure — truncated or malformed varint, invariant
+        // violation — is structural corruption; normalize it to one
+        // InvalidData error naming the vertex, which the query layer lifts
+        // to a typed `Corrupt`.
+        decode_entries(&raw, count, self.mapper.q()).map_err(|e| {
+            io::Error::new(io::ErrorKind::InvalidData, format!("vertex {}: {e}", u.index()))
+        })
     }
 
     fn min_lambda_walk(
@@ -688,6 +471,7 @@ mod tests {
     use crate::path;
     use silc_network::dijkstra;
     use silc_network::generate::{grid_network, GridConfig};
+    use silc_storage::PAGE_SIZE;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("silc-disk-tests");
@@ -854,63 +638,16 @@ mod tests {
     }
 
     #[test]
-    fn old_formats_stay_readable_and_all_answer_bit_identically() {
-        let g = Arc::new(grid_network(&GridConfig {
-            rows: 8,
-            cols: 8,
-            seed: 41,
-            ..Default::default()
-        }));
-        let idx =
-            SilcIndex::build(g.clone(), &BuildConfig { grid_exponent: 8, threads: 2 }).unwrap();
-        let mut opened = Vec::new();
-        for version in 1..=CURRENT_VERSION {
-            let p = tmp(&format!("compat-v{version}.idx"));
-            write_index_with_version(&idx, &p, version).unwrap();
-            let d = DiskSilcIndex::open(&p, g.clone(), 0.25).unwrap();
-            assert_eq!(d.format_version(), version);
-            opened.push(d);
-        }
-        assert_eq!(opened[0].entry_count(), opened[2].entry_count());
-        // Every format decodes into bit-identical entries — λ included.
-        let reference = &opened[0];
-        for d in &opened[1..] {
-            for u in g.vertices() {
-                for v in g.vertices() {
-                    let code = reference.vertex_code(v);
-                    assert_eq!(
-                        reference.try_entry(u, code).unwrap(),
-                        d.try_entry(u, code).unwrap(),
-                        "v{} entry differs from v1 for {u}->{v}",
-                        d.format_version()
-                    );
-                }
-                assert_eq!(d.next_hop(VertexId(0), u), reference.next_hop(VertexId(0), u));
-            }
-        }
-    }
-
-    #[test]
     fn v3_entry_region_shrinks_by_at_least_thirty_percent() {
-        let g = Arc::new(grid_network(&GridConfig {
-            rows: 8,
-            cols: 8,
-            seed: 41,
-            ..Default::default()
-        }));
-        let idx =
-            SilcIndex::build(g.clone(), &BuildConfig { grid_exponent: 8, threads: 2 }).unwrap();
-        let p2 = tmp("shrink-v2.idx");
-        let p3 = tmp("shrink-v3.idx");
-        write_index_with_version(&idx, &p2, 2).unwrap();
-        write_index_with_version(&idx, &p3, 3).unwrap();
-        let d2 = DiskSilcIndex::open(&p2, g.clone(), 0.25).unwrap();
-        let d3 = DiskSilcIndex::open(&p3, g, 0.25).unwrap();
-        let (v2_bytes, v3_bytes) = (d2.entry_region_bytes(), d3.entry_region_bytes());
-        assert_eq!(v2_bytes, d2.entry_count() * ENTRY_BYTES as u64);
+        // The delta+varint records against fixed-width fields (u64 base,
+        // u8 level, u16 color, two f32 λ = 19 bytes per entry).
+        const FIXED_RECORD_BYTES: u64 = 19;
+        let (mem, disk) = build_pair("shrink.idx");
+        let entries: u64 = mem.network().vertices().map(|v| mem.tree(v).block_count() as u64).sum();
+        let (fixed, compressed) = (entries * FIXED_RECORD_BYTES, disk.entry_region_bytes());
         assert!(
-            (v3_bytes as f64) <= 0.7 * v2_bytes as f64,
-            "v3 entry region {v3_bytes} B not ≤ 70% of v2's {v2_bytes} B"
+            (compressed as f64) <= 0.7 * fixed as f64,
+            "entry region {compressed} B not ≤ 70% of the fixed-width {fixed} B"
         );
     }
 
@@ -938,13 +675,13 @@ mod tests {
             },
         ];
         let mut buf = Vec::new();
-        encode_entries_v3(&entries, &mut buf);
-        let back = decode_entries_v3(&buf, entries.len() as u32, q).unwrap();
+        encode_entries(&entries, &mut buf);
+        let back = decode_entries(&buf, entries.len() as u32, q).unwrap();
         assert_eq!(&back[..], &entries[..], "round trip must be bit-identical");
         // Empty span, zero entries: fine.
-        assert!(decode_entries_v3(&[], 0, q).unwrap().is_empty());
+        assert!(decode_entries(&[], 0, q).unwrap().is_empty());
 
-        let kind = |raw: &[u8], count: u32| decode_entries_v3(raw, count, q).unwrap_err();
+        let kind = |raw: &[u8], count: u32| decode_entries(raw, count, q).unwrap_err();
         // Truncation anywhere inside the span is an error, never a panic.
         for cut in 0..buf.len() {
             let e = kind(&buf[..cut], entries.len() as u32);
@@ -989,7 +726,7 @@ mod tests {
         assert!(kind(&bad, 1).to_string().contains("color"));
         // A gap that overflows the base accumulator.
         let mut bad = Vec::new();
-        encode_entries_v3(&entries[..1], &mut bad);
+        encode_entries(&entries[..1], &mut bad);
         let mut second = Vec::new();
         for v in [0u64, u64::MAX, 0] {
             silc_storage::varint::encode_u64(v, &mut second);
@@ -1006,7 +743,6 @@ mod tests {
         // structure (a rewritten file with a recomputed table) must fail
         // with a pageless typed Corrupt at query time.
         let (_, disk) = build_pair("v3-tamper-src.idx");
-        assert_eq!(disk.format_version(), 3);
         let src = tmp("v3-tamper-src.idx");
         let mut data = std::fs::read(&src).unwrap();
         let entries_base = disk.entries_base as usize;
@@ -1014,11 +750,7 @@ mod tests {
         data[entries_base] = 0x80;
         data[entries_base + 1] = 0x80;
         // Recompute the checksum table so corruption reaches the decoder.
-        let cksum_base = u64::from_le_bytes(data[72..80].try_into().unwrap()) as usize;
-        let table = ChecksumTable::compute(&data[..cksum_base]);
-        data.truncate(cksum_base);
-        data.extend_from_slice(&table.to_bytes());
-        data.resize(data.len().div_ceil(PAGE_SIZE) * PAGE_SIZE, 0);
+        container::reseal(&mut data);
         let dst = tmp("v3-tamper.idx");
         std::fs::write(&dst, &data).unwrap();
         let g = Arc::new(grid_network(&GridConfig {

@@ -59,6 +59,19 @@ impl From<std::io::Error> for BuildError {
     }
 }
 
+impl BuildError {
+    /// Lifts an error from opening a page file's container: corruption
+    /// (`InvalidData`, checksum failures included) becomes
+    /// [`BuildError::Corrupt`], a failing store stays [`BuildError::Io`].
+    pub(crate) fn from_open(e: io::Error) -> Self {
+        if e.kind() == io::ErrorKind::InvalidData {
+            BuildError::Corrupt(e.to_string())
+        } else {
+            BuildError::Io(e)
+        }
+    }
+}
+
 /// Why a query against a disk-resident index could not complete.
 ///
 /// Raised by the fallible (`try_*`) lookup path: transient store faults

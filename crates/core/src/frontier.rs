@@ -22,55 +22,45 @@
 //! On symmetric networks (every generator in `silc-network`) the two
 //! coincide and only forward rows are stored (`directions = 1`).
 //!
-//! ## File layout (version 1, magic `SILCFDT1`)
+//! ## File layout (magic `SILCFDT2`)
+//!
+//! The envelope — magic, span lengths, page padding and the per-page
+//! checksum table — is [`silc_storage::container`]'s. Inside it:
 //!
 //! ```text
-//! header    magic "SILCFDT1", version u32, shard count u32,
-//!           directions u32 (1 = symmetric, forward rows serve both;
-//!           2 = forward rows then reverse rows per shard),
-//!           total row count u64, checksum-table offset u64,
-//!           row-region byte length u64, row-region offset u64
-//! meta      per shard, varint-coded: vertex count | frontier count |
-//!           frontier local ids delta+varint (first absolute, later gaps,
-//!           strictly sorted: never 0)
-//! rows      per shard, direction-major then frontier-rank-major: one row
+//! meta      shard count u32 | directions u32 (1 = symmetric, forward rows
+//!           serve both; 2 = forward rows then reverse rows per shard) |
+//!           total row count u64, then per shard, varint-coded: vertex
+//!           count | frontier count | frontier local ids delta+varint
+//!           (first absolute, later gaps, strictly sorted: never 0)
+//! payload   per shard, direction-major then frontier-rank-major: one row
 //!           of `vertex count` × f64 LE exact distances indexed by local
 //!           vertex id. Full f64 bits — the router's exactness claims are
 //!           bit-level, so distances are never narrowed.
-//! (page padding)
-//! checksums one 64-bit digest (8-lane FNV-1a) per payload page, verified
-//!           on every physical read — bit rot in a row surfaces as a typed
-//!           [`QueryError::Corrupt`] naming the page, never a silently
-//!           wrong "exact" distance
 //! ```
 //!
-//! The row payload is raw `f64` (exactness forbids narrowing); the
-//! delta+varint coding covers the structural metadata, same discipline as
-//! the SILCIDX3 directory and the PCP v4 pair groups. Rows are served
-//! through a [`TieredPool`] — decoded rows cache as `Arc<[f64]>`, row
-//! scans run with readahead on (the cold frontier-graph load at engine
-//! start reads the whole region sequentially, the workload
-//! `PrefetchPolicy` was built for).
+//! Every row page is checksum-verified on its physical read, so bit rot in
+//! a row surfaces as a typed [`QueryError::Corrupt`] naming the page, never
+//! a silently wrong "exact" distance. The delta+varint coding covers the
+//! structural metadata, same discipline as the SILC directory and the PCP
+//! pair groups. Rows are served through a [`TieredPool`] — decoded rows
+//! cache as `Arc<[f64]>`, row scans run with readahead on (the cold
+//! frontier-graph load at engine start reads the whole region
+//! sequentially, the workload `PrefetchPolicy` was built for).
 
 use crate::error::{BuildError, QueryError};
 use bytes::{Buf, BufMut};
 use silc_network::partition::NetworkPartition;
 use silc_network::{analysis, dijkstra, NetworkBuilder, SpatialNetwork, VertexId};
 use silc_storage::varint::{self, VarintReader};
-use silc_storage::{
-    read_span, ChecksumTable, FilePageStore, PageStore, PrefetchPolicy, TieredPool, PAGE_SIZE,
-};
+use silc_storage::{container, FilePageStore, PageStore, PrefetchPolicy, TieredPool};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-pub(crate) const MAGIC: &[u8; 8] = b"SILCFDT1";
-/// Current (written) format version.
-pub const VERSION: u32 = 1;
-/// Header size: magic + version/shards/directions + four u64 fields. The
-/// row-region offset is the last 8 header bytes, per the house convention.
-const HEADER_BYTES: usize = 8 + 4 + 4 + 4 + 8 + 8 + 8 + 8;
+/// The container magic of the one live tier format.
+const MAGIC: &[u8; 8] = b"SILCFDT2";
 /// File name of the tier inside a partitioned index directory.
 pub const FILE_NAME: &str = "frontier.tier";
 
@@ -170,8 +160,11 @@ pub fn build_tier(partition: &NetworkPartition, threads: usize) -> Vec<u8> {
         }
     });
 
-    // Serialize: varint metadata, then the concatenated row region.
+    // Serialize: fixed and varint metadata, then the concatenated rows.
     let mut meta = Vec::new();
+    meta.put_u32_le(partition.shard_count() as u32);
+    meta.put_u32_le(directions);
+    meta.put_u64_le(tasks.len() as u64);
     for (s, m) in members.iter().enumerate() {
         varint::encode_u64(partition.shard(s).vertex_count() as u64, &mut meta);
         varint::encode_u64(m.len() as u64, &mut meta);
@@ -185,32 +178,13 @@ pub fn build_tier(partition: &NetworkPartition, threads: usize) -> Vec<u8> {
             prev = Some(f);
         }
     }
-    let rows_base = HEADER_BYTES + meta.len();
-    let rows_len: usize =
-        tasks.iter().map(|t| partition.shard(t.shard as usize).vertex_count() * 8).sum();
-    let payload_len = rows_base + rows_len;
-    let cksum_base = payload_len.div_ceil(PAGE_SIZE) * PAGE_SIZE;
-
-    let mut buf = Vec::with_capacity(cksum_base);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u32_le(partition.shard_count() as u32);
-    buf.put_u32_le(directions);
-    buf.put_u64_le(tasks.len() as u64);
-    buf.put_u64_le(cksum_base as u64);
-    buf.put_u64_le(rows_len as u64);
-    buf.put_u64_le(rows_base as u64);
-    buf.extend_from_slice(&meta);
+    let mut payload = Vec::new();
     for row in &rows {
         for &d in row.get().expect("all rows computed") {
-            buf.put_f64_le(d);
+            payload.put_f64_le(d);
         }
     }
-    debug_assert_eq!(buf.len(), payload_len);
-    let table = ChecksumTable::compute(&buf);
-    buf.resize(cksum_base, 0);
-    buf.extend_from_slice(&table.to_bytes());
-    buf
+    container::encode(MAGIC, &meta, payload)
 }
 
 /// Writes an encoded tier to `path` crash-safely (temp + fsync + rename,
@@ -265,61 +239,27 @@ impl FrontierTier {
         cache_fraction: f64,
     ) -> Result<Self, BuildError> {
         let corrupt = |msg: String| BuildError::Corrupt(msg);
-        let file_len = store.page_count() * PAGE_SIZE as u64;
-        if file_len < HEADER_BYTES as u64 {
-            return Err(corrupt("frontier tier file too small for header".into()));
+        let opened = container::open(&store, MAGIC).map_err(BuildError::from_open)?;
+        let mut m = &opened.meta[..];
+        if m.len() < 16 {
+            return Err(corrupt("frontier tier metadata too small for its fixed fields".into()));
         }
-        let header = read_span(&store, 0, HEADER_BYTES)?;
-        if &header[..8] != MAGIC {
-            return Err(corrupt("bad frontier tier magic".into()));
-        }
-        let mut h = &header[8..];
-        let version = h.get_u32_le();
-        if version != VERSION {
-            return Err(corrupt(format!("unknown frontier tier version {version}")));
-        }
-        let shard_count = h.get_u32_le() as usize;
+        let shard_count = m.get_u32_le() as usize;
         if shard_count != partition.shard_count() {
             return Err(corrupt(format!(
                 "tier has {shard_count} shards, partition has {}",
                 partition.shard_count()
             )));
         }
-        let directions = h.get_u32_le();
+        let directions = m.get_u32_le();
         if !(1..=2).contains(&directions) {
             return Err(corrupt(format!("direction count {directions} out of range")));
         }
-        let total_rows = h.get_u64_le();
-        let cksum_base = h.get_u64_le();
-        let rows_len = h.get_u64_le();
-        let rows_base = h.get_u64_le();
+        let total_rows = m.get_u64_le();
+        let rows_len = opened.payload_len;
 
-        if cksum_base % PAGE_SIZE as u64 != 0 {
-            return Err(corrupt("checksum table is not page-aligned".into()));
-        }
-        let payload_pages = (cksum_base / PAGE_SIZE as u64) as usize;
-        if cksum_base + (payload_pages * 8) as u64 > file_len {
-            return Err(corrupt("checksum table extends past end of file".into()));
-        }
-        if rows_base.checked_add(rows_len).is_none_or(|end| {
-            end > cksum_base || end.div_ceil(PAGE_SIZE as u64) * PAGE_SIZE as u64 != cksum_base
-        }) {
-            return Err(corrupt("row region does not tile the payload".into()));
-        }
-        let raw_table = read_span(&store, cksum_base as usize, payload_pages * 8)?;
-        let table = Arc::new(
-            ChecksumTable::from_bytes(&raw_table, payload_pages)
-                .map_err(|e| corrupt(e.to_string()))?,
-        );
-
-        if rows_base < HEADER_BYTES as u64 {
-            return Err(corrupt("row region overlaps the header".into()));
-        }
-        let meta =
-            silc_storage::checksum::read_span_verified(&store, 0, rows_base as usize, &table)
-                .map_err(|e| corrupt(e.to_string()))?;
         let expected = partition.frontier_members();
-        let mut r = VarintReader::new(&meta[HEADER_BYTES..]);
+        let mut r = VarintReader::new(m);
         let mut shards = Vec::with_capacity(shard_count);
         let mut row_id = 0u64;
         let mut byte_base = 0u64;
@@ -377,11 +317,11 @@ impl FrontierTier {
 
         let decoded_capacity = (total_rows as usize).clamp(32, 8192);
         let mut tiered = TieredPool::new(store, cache_fraction, decoded_capacity);
-        tiered.set_checksums(table);
+        tiered.set_checksums(opened.checks);
         // Readahead on: the cold frontier-graph load and the last-mile row
         // reads of one shard are sequential scans of adjacent rows.
         tiered.set_prefetch_policy(PrefetchPolicy { window: 8 });
-        Ok(FrontierTier { tiered, shards, directions, rows_base, rows_len })
+        Ok(FrontierTier { tiered, shards, directions, rows_base: opened.payload_base, rows_len })
     }
 
     /// `1` if forward rows serve both directions (symmetric shards), `2`
@@ -473,7 +413,7 @@ mod tests {
     use super::*;
     use silc_network::generate::{road_network, RoadConfig};
     use silc_network::partition::{partition_network, PartitionConfig};
-    use silc_storage::MemPageStore;
+    use silc_storage::{MemPageStore, PAGE_SIZE};
 
     fn fixture(n: usize, shards: usize, seed: u64) -> (SpatialNetwork, NetworkPartition) {
         let g = road_network(&RoadConfig { vertices: n, seed, ..Default::default() });
@@ -562,12 +502,9 @@ mod tests {
         let mut bytes = build_tier(&p, 1);
         // Flip one byte in a row page past the metadata (metadata pages
         // are verified at open; rows are verified on read).
-        let header = &bytes[..HEADER_BYTES];
-        let rows_base = u64::from_le_bytes(header[HEADER_BYTES - 8..].try_into().unwrap());
-        let rows_len =
-            u64::from_le_bytes(header[HEADER_BYTES - 16..HEADER_BYTES - 8].try_into().unwrap());
-        let target = ((rows_base as usize / PAGE_SIZE) + 1) * PAGE_SIZE + 12;
-        assert!(target < (rows_base + rows_len) as usize, "fixture rows must span pages");
+        let rows = container::spans(&bytes).1;
+        let target = (rows.start / PAGE_SIZE + 1) * PAGE_SIZE + 12;
+        assert!(target < rows.end, "fixture rows must span pages");
         bytes[target] ^= 0x40;
         let tier = open_mem(&bytes, &p);
         let mut corrupt_seen = false;
@@ -600,7 +537,8 @@ mod tests {
     fn tampered_metadata_fails_the_checksum_at_open() {
         let (_, p) = fixture(200, 3, 5);
         let mut bytes = build_tier(&p, 1);
-        bytes[HEADER_BYTES + 3] ^= 0x01;
+        let in_meta = container::spans(&bytes).0.start + 3;
+        bytes[in_meta] ^= 0x01;
         match FrontierTier::from_store(Box::new(MemPageStore::new(&bytes)), &p, 1.0) {
             Err(BuildError::Corrupt(msg)) => {
                 assert!(msg.contains("page"), "checksum must name the page: {msg}")

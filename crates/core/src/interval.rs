@@ -5,10 +5,8 @@
 //! hand cannot yet be answered (paper §5, "progressive refinement"). This
 //! module is the small algebra those queries are written in.
 
-use serde::{Deserialize, Serialize};
-
 /// A closed interval `[lo, hi]` known to contain a network distance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistInterval {
     /// Lower bound `δ−`.
     pub lo: f64,

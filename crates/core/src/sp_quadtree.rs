@@ -13,13 +13,12 @@ use crate::error::BuildError;
 use crate::interval::DistInterval;
 use crate::spmap::ShortestPathMap;
 pub use crate::spmap::COLOR_SOURCE;
-use serde::{Deserialize, Serialize};
 use silc_geom::Point;
 use silc_morton::{MortonBlock, MortonCode};
 use silc_network::VertexId;
 
 /// One Morton block of a shortest-path quadtree.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockEntry {
     /// The region of the grid this entry covers.
     pub block: MortonBlock,
@@ -75,7 +74,7 @@ impl CellRect {
 
 /// The shortest-path quadtree of one source vertex, stored as a sorted flat
 /// list of Morton blocks.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SpQuadtree {
     entries: Vec<BlockEntry>,
     q: u32,

@@ -8,11 +8,10 @@
 //! free cells in a deterministic outward spiral.
 
 use crate::{Point, Rect};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A cell position on the `2^q × 2^q` grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GridCoord {
     pub x: u32,
     pub y: u32,
@@ -30,7 +29,7 @@ impl GridCoord {
 /// Construction assigns each input point a unique cell; queries map arbitrary
 /// world points (e.g. query objects that are not vertices) to their nearest
 /// cell without any uniqueness guarantee.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GridMapper {
     bounds: Rect,
     /// Grid resolution exponent: the grid is `2^q × 2^q` cells.

@@ -1,13 +1,11 @@
 //! Points in the plane.
 
-use serde::{Deserialize, Serialize};
-
 /// A position in world coordinates.
 ///
 /// Coordinates are `f64` throughout the library; spatial networks from road
 /// data typically use projected meters or degrees, and all SILC reasoning is
 /// invariant under uniform scaling.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     pub x: f64,
     pub y: f64,

@@ -2,10 +2,9 @@
 //! best-first search over spatial indexes.
 
 use crate::Point;
-use serde::{Deserialize, Serialize};
 
 /// A closed axis-aligned rectangle `[min_x, max_x] × [min_y, max_y]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rect {
     pub min_x: f64,
     pub min_y: f64,

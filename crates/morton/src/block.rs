@@ -1,7 +1,6 @@
 //! Quadtree blocks in Morton space.
 
 use crate::MortonCode;
-use serde::{Deserialize, Serialize};
 use silc_geom::GridCoord;
 
 /// A grid-aligned square quadtree block.
@@ -12,7 +11,7 @@ use silc_geom::GridCoord;
 /// disjoint or nested — the property that makes a sorted block list a valid
 /// disjoint decomposition (unlike the overlapping minimum bounding boxes the
 /// paper rejects on p.13).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MortonBlock {
     base: u64,
     level: u8,

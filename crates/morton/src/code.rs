@@ -1,6 +1,5 @@
 //! Bit-interleaved Z-order codes.
 
-use serde::{Deserialize, Serialize};
 use silc_geom::GridCoord;
 
 /// A Morton (Z-order) code: the bit-interleave of a grid cell's `(x, y)`.
@@ -8,9 +7,7 @@ use silc_geom::GridCoord;
 /// With grid coordinates up to 16 bits each, codes occupy the low 32 bits of
 /// the `u64`; the type supports up to 32-bit coordinates (64-bit codes) so
 /// callers never have to worry about overflow.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MortonCode(pub u64);
 
 /// Spreads the low 32 bits of `v` so bit `i` moves to bit `2i`.

@@ -1,6 +1,5 @@
 //! The spatial network graph.
 
-use serde::{Deserialize, Serialize};
 use silc_geom::{Point, Rect};
 
 /// Identifier of a network vertex.
@@ -8,9 +7,7 @@ use silc_geom::{Point, Rect};
 /// A thin `u32` newtype: networks of interest (road networks) have well under
 /// 2³² vertices and halving the id size keeps adjacency arrays and priority
 /// queue entries compact.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VertexId(pub u32);
 
 impl VertexId {
@@ -35,7 +32,7 @@ impl std::fmt::Display for VertexId {
 ///   `O(log deg)` weight lookup),
 /// * all weights are finite and non-negative,
 /// * `offsets.len() == vertex_count() + 1`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpatialNetwork {
     positions: Vec<Point>,
     offsets: Vec<u32>,

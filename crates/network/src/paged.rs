@@ -7,57 +7,64 @@
 //! directory (offsets, positions) stays in memory like any index's root
 //! metadata, while the `O(m)` adjacency records are fetched page by page.
 //!
-//! ## File layout
+//! ## File layout (magic `SILCPNT2`)
+//!
+//! The envelope — magic, span lengths, page padding and the per-page
+//! checksum table — is [`silc_storage::container`]'s. Inside it:
 //!
 //! ```text
-//! header    magic "SILCPNET", n, m, edge-region offset
-//! positions n × (f64, f64)
-//! offsets   (n+1) × u32
-//! edges     m × (target u32 | weight f64)   — 12 bytes per record
+//! meta      n u32 | m u32 | positions n × (f64, f64) | offsets (n+1) × u32
+//! payload   m × (target u32 | weight f64) — 12 bytes per record
 //! ```
+//!
+//! Offsets are validated at open (start at 0, non-decreasing, end at `m`)
+//! and every record at read time (target `< n`, weight neither NaN nor
+//! negative), so a corrupt file surfaces as `InvalidData`, never as a panic
+//! or a phantom vertex.
 
 use crate::{SpatialNetwork, VertexId};
 use bytes::{Buf, BufMut};
 use silc_geom::Point;
-use silc_storage::{BufferPool, FilePageStore, PageId, PageStore, PAGE_SIZE};
+use silc_storage::{container, BufferPool, FilePageStore};
 use std::io;
 use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"SILCPNET";
+/// The container magic of the one live paged-network format.
+const MAGIC: &[u8; 8] = b"SILCPNT2";
 /// Bytes per serialized edge record.
 pub const EDGE_BYTES: usize = 12;
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
 
 /// Serializes `g` into a page file at `path` (see the module docs for the
 /// layout).
 pub fn write_paged<P: AsRef<Path>>(g: &SpatialNetwork, path: P) -> io::Result<()> {
     let n = g.vertex_count();
     let m = g.edge_count();
-    let header_len = 8 + 4 + 4 + 8;
-    let meta_len = header_len + n * 16 + (n + 1) * 4;
-    let mut buf = Vec::with_capacity(meta_len + m * EDGE_BYTES);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(n as u32);
-    buf.put_u32_le(m as u32);
-    buf.put_u64_le(meta_len as u64);
+    let mut meta = Vec::with_capacity(8 + n * 16 + (n + 1) * 4);
+    meta.put_u32_le(n as u32);
+    meta.put_u32_le(m as u32);
     for v in g.vertices() {
         let p = g.position(v);
-        buf.put_f64_le(p.x);
-        buf.put_f64_le(p.y);
+        meta.put_f64_le(p.x);
+        meta.put_f64_le(p.y);
     }
     let mut offset = 0u32;
-    buf.put_u32_le(0);
+    meta.put_u32_le(0);
     for v in g.vertices() {
         offset += g.out_degree(v) as u32;
-        buf.put_u32_le(offset);
+        meta.put_u32_le(offset);
     }
-    debug_assert_eq!(buf.len(), meta_len);
+    let mut edges = Vec::with_capacity(m * EDGE_BYTES);
     for u in g.vertices() {
         for (v, w) in g.out_edges(u) {
-            buf.put_u32_le(v.0);
-            buf.put_f64_le(w);
+            edges.put_u32_le(v.0);
+            edges.put_f64_le(w);
         }
     }
-    FilePageStore::create(path, &buf)?;
+    FilePageStore::create(path, &container::encode(MAGIC, &meta, edges))?;
     Ok(())
 }
 
@@ -72,55 +79,34 @@ pub struct PagedNetwork {
 
 impl PagedNetwork {
     /// Opens a paged network file with a buffer pool holding
-    /// `cache_fraction` of its pages (the paper uses 0.05).
+    /// `cache_fraction` of its pages (the paper uses 0.05). The metadata is
+    /// checksum-verified here, the edge pages on every physical read.
     pub fn open<P: AsRef<Path>>(path: P, cache_fraction: f64) -> io::Result<Self> {
         let store = FilePageStore::open(&path)?;
-        let fail = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-        let read_bytes = |from: usize, len: usize| -> io::Result<Vec<u8>> {
-            let mut out = Vec::with_capacity(len);
-            let mut page = from / PAGE_SIZE;
-            let mut off = from % PAGE_SIZE;
-            while out.len() < len {
-                let data = store.read_page(PageId(page as u64))?;
-                let take = (len - out.len()).min(PAGE_SIZE - off);
-                out.extend_from_slice(&data[off..off + take]);
-                page += 1;
-                off = 0;
-            }
-            Ok(out)
-        };
-        let header_len = 8 + 4 + 4 + 8;
-        if (store.page_count() as usize) * PAGE_SIZE < header_len {
-            return Err(fail("file too small"));
+        let opened = container::open(&store, MAGIC)?;
+        let mut r = &opened.meta[..];
+        if r.len() < 8 {
+            return Err(invalid("metadata too small for its counts".into()));
         }
-        let header = read_bytes(0, header_len)?;
-        let mut h = &header[..];
-        let mut magic = [0u8; 8];
-        h.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            return Err(fail("bad magic"));
+        let n = r.get_u32_le() as usize;
+        let m = r.get_u32_le() as usize;
+        if r.len() != n * 16 + (n + 1) * 4 {
+            return Err(invalid(format!("metadata size does not match {n} vertices")));
         }
-        let n = h.get_u32_le() as usize;
-        let m = h.get_u32_le() as usize;
-        let edges_base = h.get_u64_le();
-        if edges_base + (m * EDGE_BYTES) as u64 > store.page_count() * PAGE_SIZE as u64 {
-            return Err(fail("edge region extends past end of file"));
+        if opened.payload_len != (m * EDGE_BYTES) as u64 {
+            return Err(invalid(format!("edge region does not hold {m} records")));
         }
-        let meta = read_bytes(header_len, n * 16 + (n + 1) * 4)?;
-        let mut r = &meta[..];
-        let mut positions = Vec::with_capacity(n);
-        for _ in 0..n {
-            positions.push(Point::new(r.get_f64_le(), r.get_f64_le()));
+        let positions = (0..n).map(|_| Point::new(r.get_f64_le(), r.get_f64_le())).collect();
+        let offsets: Vec<u32> = (0..=n).map(|_| r.get_u32_le()).collect();
+        if offsets[0] != 0 || offsets[n] as usize != m {
+            return Err(invalid("offset table does not span the edge count".into()));
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        for _ in 0..=n {
-            offsets.push(r.get_u32_le());
+        if let Some(v) = offsets.windows(2).position(|w| w[0] > w[1]) {
+            return Err(invalid(format!("offset table decreases at vertex {v}")));
         }
-        if offsets[n] as usize != m {
-            return Err(fail("offset table does not match edge count"));
-        }
-        let pool = BufferPool::with_fraction(store, cache_fraction);
-        Ok(PagedNetwork { positions, offsets, edges_base, pool })
+        let mut pool = BufferPool::with_fraction(store, cache_fraction);
+        pool.set_checksums(opened.checks);
+        Ok(PagedNetwork { positions, offsets, edges_base: opened.payload_base, pool })
     }
 
     /// Number of vertices.
@@ -144,31 +130,28 @@ impl PagedNetwork {
         self.try_out_edges(v, out).unwrap_or_else(|e| panic!("network page read failed: {e}"))
     }
 
-    /// Fallible adjacency read: I/O trouble comes back as the error (the
-    /// scratch vector is then left cleared, holding no partial list).
+    /// Fallible adjacency read: I/O trouble, a checksum mismatch, or a
+    /// record naming no vertex or carrying a NaN or negative weight comes
+    /// back as the error (the scratch vector is then left cleared, holding
+    /// no partial list).
     pub fn try_out_edges(&self, v: VertexId, out: &mut Vec<(VertexId, f64)>) -> io::Result<()> {
         out.clear();
         let start = self.offsets[v.index()] as u64;
         let end = self.offsets[v.index() + 1] as u64;
-        if start == end {
-            return Ok(());
-        }
-        let byte_lo = self.edges_base + start * EDGE_BYTES as u64;
-        let byte_hi = self.edges_base + end * EDGE_BYTES as u64;
-        let page_lo = byte_lo / PAGE_SIZE as u64;
-        let page_hi = (byte_hi - 1) / PAGE_SIZE as u64;
-        // Gather the raw records across the page range.
-        let mut raw = Vec::with_capacity((byte_hi - byte_lo) as usize);
-        for page in page_lo..=page_hi {
-            let data = self.pool.get(PageId(page))?;
-            let lo = byte_lo.max(page * PAGE_SIZE as u64) - page * PAGE_SIZE as u64;
-            let hi = byte_hi.min((page + 1) * PAGE_SIZE as u64) - page * PAGE_SIZE as u64;
-            raw.extend_from_slice(&data[lo as usize..hi as usize]);
-        }
+        let mut raw = Vec::with_capacity(((end - start) as usize) * EDGE_BYTES);
+        self.pool.read_range(
+            self.edges_base + start * EDGE_BYTES as u64,
+            self.edges_base + end * EDGE_BYTES as u64,
+            &mut raw,
+        )?;
         let mut r = &raw[..];
         for _ in start..end {
             let target = r.get_u32_le();
             let weight = r.get_f64_le();
+            if target as usize >= self.positions.len() || weight.is_nan() || weight < 0.0 {
+                out.clear();
+                return Err(invalid(format!("vertex {v}: bad edge record ({target}, {weight})")));
+            }
             out.push((VertexId(target), weight));
         }
         Ok(())
@@ -199,6 +182,9 @@ impl PagedNetwork {
 mod tests {
     use super::*;
     use crate::generate::{road_network, RoadConfig};
+    use silc_storage::PAGE_SIZE;
+    use std::ops::Range;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("silc-paged-tests");
@@ -251,6 +237,88 @@ mod tests {
         let path = tmp("bad.pnet");
         std::fs::write(&path, vec![0u8; PAGE_SIZE]).unwrap();
         assert!(PagedNetwork::open(&path, 0.5).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Writes a 50-vertex network, lets `edit` tamper with the image given
+    /// its metadata and edge spans, reseals the checksums so the edit
+    /// reaches the validators, and returns the file's path.
+    fn tampered(name: &str, edit: impl FnOnce(&mut [u8], Range<usize>, Range<usize>)) -> PathBuf {
+        let g = road_network(&RoadConfig { vertices: 50, seed: 9, ..Default::default() });
+        let path = tmp(name);
+        write_paged(&g, &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let (meta, edges) = container::spans(&bytes);
+        edit(&mut bytes, meta, edges);
+        container::reseal(&mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
+        path
+    }
+
+    fn put_u32(bytes: &mut [u8], at: usize, v: u32) {
+        bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    #[test]
+    fn non_monotone_offsets_rejected_at_open() {
+        // offsets[1] > offsets[2]: a negative-length adjacency list, which
+        // used to open and then underflow in `try_out_edges`.
+        let path = tampered("decreasing.pnet", |b, meta, _| {
+            let offsets = meta.start + 8 + 50 * 16;
+            let second = u32::from_le_bytes(b[offsets + 8..offsets + 12].try_into().unwrap());
+            put_u32(b, offsets + 4, second + 1);
+        });
+        let err = PagedNetwork::open(&path, 0.5).err().expect("decreasing offsets must not open");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("decreases at vertex 1"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn out_of_range_edge_target_rejected() {
+        // The first edge record names vertex n + 1000 of a 50-vertex network.
+        let path = tampered("farvertex.pnet", |b, _, edges| put_u32(b, edges.start, 1050));
+        let p = PagedNetwork::open(&path, 0.5).unwrap();
+        let mut out = vec![(VertexId(7), 1.0)];
+        let err = p.try_out_edges(VertexId(0), &mut out).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("1050"), "{err}");
+        assert!(out.is_empty(), "no partial list on error");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn nan_or_negative_edge_weight_rejected() {
+        for (name, bad) in [("nanweight.pnet", f64::NAN), ("negweight.pnet", -2.5)] {
+            let path = tampered(name, |b, _, edges| {
+                b[edges.start + 4..edges.start + 12].copy_from_slice(&bad.to_le_bytes());
+            });
+            let p = PagedNetwork::open(&path, 0.5).unwrap();
+            let err = p.try_out_edges(VertexId(0), &mut Vec::new()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}");
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn edge_page_bit_flip_is_a_typed_checksum_error() {
+        let g = road_network(&RoadConfig { vertices: 400, seed: 6, ..Default::default() });
+        let path = tmp("bitflip.pnet");
+        write_paged(&g, &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let edges = container::spans(&bytes).1;
+        let victim = edges.end / PAGE_SIZE;
+        assert!(victim * PAGE_SIZE > edges.start, "fixture edges must span pages");
+        bytes[edges.end - 3] ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
+        let p = PagedNetwork::open(&path, 1.0).unwrap();
+        let mut buf = Vec::new();
+        let err = g
+            .vertices()
+            .find_map(|v| p.try_out_edges(v, &mut buf).err())
+            .expect("some adjacency list lives on the flipped page");
+        let pc = silc_storage::as_page_corrupt(&err).expect("the error names its page");
+        assert_eq!(pc.page, victim as u64);
         std::fs::remove_file(&path).ok();
     }
 }

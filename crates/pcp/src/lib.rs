@@ -19,7 +19,7 @@
 //! * [`DistanceOracle`] — representative distances **and per-pair error
 //!   caps** plus the pair-location query,
 //! * [`write_oracle`] / [`DiskDistanceOracle`] — the same oracle with full
-//!   disk parity to `silc::disk`: a paged, versioned file format and a
+//!   disk parity to `silc::disk`: a paged, checksummed file format and a
 //!   served-from-pages form behind a sharded buffer pool.
 //!
 //! ## The ε guarantee: per-pair caps
@@ -35,22 +35,20 @@
 //! tighten. The classic first-order `4t/s` stretch bound survives as
 //! [`DistanceOracle::epsilon_apriori`] for comparison.
 //!
-//! ## The page format (version 4)
+//! ## The page format (magic `SILCPCP5`)
 //!
 //! [`write_oracle`] lays the oracle out the way `DiskSilcIndex` lays out
-//! quadtrees: a versioned header (including the guaranteed ε), the
-//! split-tree skeleton, and a per-node pair directory form the pinned
-//! metadata, while the `O(s²n)` pair payload fills fixed-size pages served
-//! through the `silc_storage::BufferPool` with decoded groups in a
-//! `ShardedCache`. Since version 4 the payload is **compressed**: within a
-//! group the sorted `b`-side node ids are delta+varint coded and the
-//! representative vertices are elided (they are always the split tree's
-//! canonical representatives, re-derived at decode time), roughly 17.5
-//! bytes per pair against the fixed 28 of v2/v3 — see [`mod@format`] for the
-//! exact layout and version history. Every earlier version stays readable
-//! (v1's pairs answer the file's global a-priori bound). Distances and
-//! caps are stored as full `f64` bits in every version, so
-//! [`DiskDistanceOracle::distance`] and
+//! quadtrees, inside the shared `silc_storage::container` envelope: the
+//! fixed fields (including the guaranteed ε), the split-tree skeleton, and
+//! a per-node pair directory form the pinned metadata, while the `O(s²n)`
+//! pair payload fills fixed-size pages served through the
+//! `silc_storage::BufferPool` with decoded groups in a `ShardedCache`. The
+//! payload is **compressed**: within a group the sorted `b`-side node ids
+//! are delta+varint coded and the representative vertices are elided (they
+//! are always the split tree's canonical representatives, re-derived at
+//! decode time), roughly 17.5 bytes per pair against 28 for fixed-width
+//! fields — see [`mod@format`] for the exact layout. Distances and caps are
+//! stored as full `f64` bits, so [`DiskDistanceOracle::distance`] and
 //! [`DiskDistanceOracle::distance_with_epsilon`] are bit-identical to the
 //! memory oracle.
 
@@ -65,7 +63,7 @@ pub mod wspd;
 pub use build::{PcpBuildConfig, PcpBuildStats};
 pub use disk::DiskDistanceOracle;
 pub use error::PcpError;
-pub use format::{encode_oracle, write_oracle, PAIR_BYTES, PAIR_BYTES_V1};
+pub use format::{encode_oracle, write_oracle};
 pub use oracle::DistanceOracle;
 pub use split_tree::{NodeRef, SplitTree};
 pub use wspd::{wspd, WspdPair};

@@ -1,7 +1,6 @@
 //! Query results and the statistics the paper's figures are plotted from.
 
 use crate::objects::ObjectId;
-use serde::Serialize;
 use silc::DistInterval;
 use silc_network::VertexId;
 
@@ -20,7 +19,7 @@ pub struct Neighbor {
 }
 
 /// Counters describing one query execution.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct QueryStats {
     /// Refinement operations performed (paper fig. p.35).
     pub refinements: usize,

@@ -186,10 +186,10 @@ impl ChecksumTable {
     }
 }
 
-/// Like [`read_span`](crate::read_span), but verifies every covered page
-/// against `table` before slicing — the way indexes load their pinned
-/// metadata regions once the checksum table is known.
-pub fn read_span_verified<S: PageStore>(
+/// Like [`read_span`](crate::tiered::read_span), but verifies every covered
+/// page against `table` before slicing — the way [`crate::container::open`]
+/// loads a format's pinned metadata once the checksum table is known.
+pub(crate) fn read_span_verified<S: PageStore>(
     store: &S,
     from: usize,
     len: usize,

@@ -16,7 +16,7 @@
 //!   extends them with sequential readahead, accounted exactly
 //!   ([`IoStats::prefetched`] / [`IoStats::prefetch_hits`]),
 //! * [`varint`] — canonical LEB128 varints and zigzag, the shared encoding
-//!   layer of the compressed on-disk formats (`SILCIDX3`, PCP v4),
+//!   layer of the compressed on-disk formats,
 //! * [`ShardedCache`] — a generic concurrent LRU for objects *decoded* from
 //!   pages (entry lists, adjacency blocks), sharing the pool's LRU core,
 //! * [`TieredPool`] — a pool paired with a decoded-object cache, the
@@ -24,6 +24,9 @@
 //! * [`ChecksumTable`] — per-page digests (8-lane FNV-1a) the pool verifies on
 //!   every physical read, so bit rot surfaces as a typed error naming the
 //!   page ([`PageCorrupt`]) instead of a silently wrong answer,
+//! * [`container`] — the one paged-artifact envelope every on-disk format
+//!   shares (magic, span lengths, page padding, checksum table), opened by
+//!   a fully validating [`container::open`],
 //! * [`RetryPolicy`] — deterministic bounded-backoff retries of transient
 //!   store faults inside the pool, with exact `retries`/`faults_seen`
 //!   counters in [`IoStats`],
@@ -32,6 +35,7 @@
 
 pub mod cache;
 pub mod checksum;
+pub mod container;
 pub mod fault;
 pub(crate) mod lru;
 pub mod pool;
@@ -40,11 +44,8 @@ pub mod tiered;
 pub mod varint;
 
 pub use cache::{CacheStats, ShardedCache};
-pub use checksum::{
-    as_page_corrupt, corrupt_page, fnv1a64, fnv1a64x8, read_span_verified, ChecksumTable,
-    PageCorrupt,
-};
+pub use checksum::{as_page_corrupt, corrupt_page, fnv1a64, fnv1a64x8, ChecksumTable, PageCorrupt};
 pub use fault::{FaultCounts, FaultInjectingPageStore, FaultKind, FaultRates};
 pub use pool::{BufferPool, IoStats, PrefetchPolicy, RetryPolicy, MAX_COALESCED_PAGES};
 pub use store::{FilePageStore, MemPageStore, PageId, PageStore, PAGE_SIZE};
-pub use tiered::{default_decoded_capacity, read_span, TieredPool};
+pub use tiered::{default_decoded_capacity, TieredPool};

@@ -24,10 +24,10 @@ pub fn default_decoded_capacity(n: usize) -> usize {
 }
 
 /// Reads `len` bytes starting at byte offset `from` directly from a store
-/// (no pool, no cache) — the way disk indexes load their pinned metadata
-/// regions (headers, directories) exactly once at open time. The whole
-/// span is fetched with one [`PageStore::read_pages`] call.
-pub fn read_span<S: PageStore>(store: &S, from: usize, len: usize) -> io::Result<Vec<u8>> {
+/// (no pool, no cache) — the way [`crate::container::open`] reads an
+/// envelope's header and checksum table exactly once at open time. The
+/// whole span is fetched with one [`PageStore::read_pages`] call.
+pub(crate) fn read_span<S: PageStore>(store: &S, from: usize, len: usize) -> io::Result<Vec<u8>> {
     if len == 0 {
         return Ok(Vec::new());
     }
@@ -94,8 +94,7 @@ impl<S: PageStore, V: Clone> TieredPool<S, V> {
 
     /// Reads `len` bytes starting at byte offset `from` *through the pool*
     /// — cached pages are served from memory, cold runs are coalesced, and
-    /// the pool's [`PrefetchPolicy`] applies. The pooled counterpart of the
-    /// free [`read_span`] used for one-shot metadata loads.
+    /// the pool's [`PrefetchPolicy`] applies.
     pub fn read_span(&self, from: usize, len: usize) -> io::Result<Vec<u8>> {
         let mut out = Vec::with_capacity(len);
         self.pool.read_range(from as u64, (from + len) as u64, &mut out)?;

@@ -1,9 +1,9 @@
 //! LEB128 varints and zigzag, shared by the compressed on-disk formats.
 //!
-//! The compressed SILC index (`SILCIDX3`) and PCP pair format (v4) both
-//! store sorted id sequences as deltas; a delta is almost always tiny, so
-//! unsigned LEB128 turns an 8-byte field into (usually) one byte. This
-//! module is the single implementation both formats decode through.
+//! The SILC index, the PCP pair groups and the frontier tier's metadata
+//! all store sorted id sequences as deltas; a delta is almost always tiny,
+//! so unsigned LEB128 turns an 8-byte field into (usually) one byte. This
+//! module is the single implementation every format decodes through.
 //!
 //! Decoding is **canonical**: every value has exactly one accepted
 //! encoding. A varint whose last byte is zero (except the single-byte
