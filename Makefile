@@ -3,10 +3,9 @@
 #
 #     cargo build --release && cargo test -q
 #
-.PHONY: build test bench bench-baseline bench-baseline-smoke bench-throughput \
-        bench-throughput-smoke bench-tradeoff bench-tradeoff-smoke bench-scale \
-        bench-scale-smoke bench-latency bench-latency-smoke bench-check chaos \
-        docs deep-fuzz figures lint fmt protocol-check serve-smoke verify help
+.PHONY: build test bench bench-tradeoff bench-tradeoff-smoke bench-scale \
+        bench-scale-smoke bench-check perfbench-test chaos docs deep-fuzz \
+        figures lint fmt protocol-check serve-smoke verify help
 
 help:
 	@echo "SILC workspace targets:"
@@ -14,17 +13,12 @@ help:
 	@echo "  test                   full test suite (unit, property, integration, examples)"
 	@echo "  verify                 tier-1 gate: build + test (what CI runs)"
 	@echo "  bench                  all seven Criterion benches (paper figures)"
-	@echo "  bench-baseline         re-record BENCH_baseline.json (build cost + kNN latency)"
-	@echo "  bench-baseline-smoke   CI smoke for the baseline recorder (tiny, writes to target/)"
-	@echo "  bench-throughput       re-record BENCH_throughput.json (multi-worker QPS/p50/p99)"
-	@echo "  bench-throughput-smoke CI smoke for the throughput harness (tiny, writes to target/)"
 	@echo "  bench-tradeoff         re-record BENCH_tradeoff.json (SILC vs PCP from one substrate)"
 	@echo "  bench-tradeoff-smoke   CI smoke for the trade-off harness (tiny, writes to target/)"
 	@echo "  bench-scale            re-record BENCH_scale.json (partitioned build + routed kNN at scale)"
 	@echo "  bench-scale-smoke      CI smoke for the scale harness (tiny, writes to target/)"
-	@echo "  bench-latency          re-record BENCH_latency.json (open-loop server tail latency)"
-	@echo "  bench-latency-smoke    CI smoke for the latency harness (tiny, writes to target/)"
 	@echo "  bench-check            validate committed BENCH_*.json against the recorders' schemas"
+	@echo "  perfbench-test         the serving benchmark's own tests (perfbench/ workspace)"
 	@echo "  serve-smoke            scripted client session against a loopback silc-server"
 	@echo "  protocol-check         docs/PROTOCOL.md <-> protocol.rs test lockstep gate"
 	@echo "  chaos                  fault-injection matrix: seeded disk faults, retries, dead shards"
@@ -47,29 +41,6 @@ verify: build test
 # All seven Criterion benches (paper figures p.16/p.33 + ablations).
 bench:
 	cargo bench
-
-# Re-record the in-repo bench baseline (BENCH_baseline.json): index build
-# seconds, total Morton blocks, and kNN latency at fixed sizes/seeds. Run
-# this ONLY when intentionally resetting the perf comparison point.
-bench-baseline:
-	cargo run --release -p silc-bench --bin bench_baseline
-
-# CI smoke for the baseline recorder: tiny network, writes to target/, no
-# assertions on absolute time — only that the pipeline runs end to end.
-bench-baseline-smoke:
-	cargo run --release -p silc-bench --bin bench_baseline -- --smoke
-
-# Re-record the serving-throughput baseline (BENCH_throughput.json): W
-# worker sessions closed-loop over one shared disk index — QPS, p50/p99
-# latency, pool and entry-cache hit rates at 1 and W workers. Run ONLY when
-# intentionally resetting the comparison point.
-bench-throughput:
-	cargo run --release -p silc-bench --bin bench_throughput
-
-# CI smoke for the throughput harness: tiny network, short windows, writes
-# to target/ — only that the concurrent pipeline runs end to end.
-bench-throughput-smoke:
-	cargo run --release -p silc-bench --bin bench_throughput -- --smoke
 
 # Re-record the SILC-vs-PCP trade-off (BENCH_tradeoff.json): both indexes
 # built over the same network and served from the same buffer-pool
@@ -97,19 +68,6 @@ bench-scale:
 bench-scale-smoke:
 	cargo run --release -p silc-bench --bin bench_scale -- --smoke
 
-# Re-record the open-loop latency record (BENCH_latency.json): Poisson
-# arrivals through the TCP server at fractions of measured capacity,
-# p50/p99/p999 from the scheduled arrival instant, Morton vs FIFO batch
-# ordering and their pool hit rates. Run ONLY when intentionally resetting
-# the comparison point.
-bench-latency:
-	cargo run --release -p silc-bench --bin bench_latency
-
-# CI smoke for the latency harness: tiny network, short windows, writes to
-# target/ — only that the open-loop sender/receiver pipeline runs.
-bench-latency-smoke:
-	cargo run --release -p silc-bench --bin bench_latency -- --smoke
-
 # Scripted end-to-end session against a real loopback server: a mixed
 # exact/routed/approx batch checked bit-identical to local execution, a
 # malformed frame, an oversized frame, a status probe, a clean shutdown.
@@ -127,6 +85,13 @@ protocol-check:
 # updating crates/bench/src/schema.rs and re-recording.
 bench-check:
 	cargo run --release -p silc-bench --bin bench_check
+
+# The serving benchmark's own tests (the CI step runs exactly this).
+# perfbench/ is its own workspace that builds the engine crates by path and
+# calls their public API, so an engine change that breaks the benchmark
+# fails here.
+perfbench-test:
+	cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 # Rustdoc with warnings denied — keeps the crate-level docs from rotting.
 docs:

@@ -1,7 +1,6 @@
-//! CI gate for the committed bench records: validates `BENCH_baseline.json`,
-//! `BENCH_throughput.json`, `BENCH_tradeoff.json`, `BENCH_scale.json` and
-//! `BENCH_latency.json` against the recorders'
-//! current output schemas (see `silc_bench::schema`) and fails on drift —
+//! CI gate for the committed bench records: validates `BENCH_tradeoff.json`
+//! and `BENCH_scale.json` against the recorders' current output schemas
+//! (see `silc_bench::schema`) and fails on drift —
 //! a recorder whose fields changed without re-recording the committed
 //! baseline, or a hand-edited record that no recorder would produce.
 //!
@@ -17,28 +16,19 @@
 //!   --dir PATH   repository root holding the BENCH_*.json files (default .)
 //! ```
 //!
-//! Exit code 0 when every present file validates; 1 otherwise. The five
+//! Exit code 0 when every present file validates; 1 otherwise. The two
 //! committed records are mandatory — a missing one is a failure.
 
-use silc_bench::schema::{
-    parse, validate, Shape, BASELINE_SCHEMA, LATENCY_SCHEMA, SCALE_SCHEMA, THROUGHPUT_SCHEMA,
-    TRADEOFF_SCHEMA,
-};
+use silc_bench::schema::{parse, validate, Shape, SCALE_SCHEMA, TRADEOFF_SCHEMA};
 use std::path::{Path, PathBuf};
 
 /// `(file, schema, required)`: the committed records are mandatory, the
 /// smoke outputs are validated only when a prior smoke run produced them.
 const CHECKS: &[(&str, &Shape, bool)] = &[
-    ("BENCH_baseline.json", &BASELINE_SCHEMA, true),
-    ("BENCH_throughput.json", &THROUGHPUT_SCHEMA, true),
     ("BENCH_tradeoff.json", &TRADEOFF_SCHEMA, true),
     ("BENCH_scale.json", &SCALE_SCHEMA, true),
-    ("BENCH_latency.json", &LATENCY_SCHEMA, true),
-    ("target/bench_baseline_smoke.json", &BASELINE_SCHEMA, false),
-    ("target/bench_throughput_smoke.json", &THROUGHPUT_SCHEMA, false),
     ("target/bench_tradeoff_smoke.json", &TRADEOFF_SCHEMA, false),
     ("target/bench_scale_smoke.json", &SCALE_SCHEMA, false),
-    ("target/bench_latency_smoke.json", &LATENCY_SCHEMA, false),
 ];
 
 fn check_file(path: &Path, schema: &Shape) -> Result<(), String> {

@@ -1,9 +1,9 @@
 //! The committed bench records' schemas, and a minimal JSON reader to
 //! check them.
 //!
-//! The recorder binaries (`bench_baseline`, `bench_throughput`,
-//! `bench_tradeoff`, `bench_scale`, `bench_latency`) hand-assemble their JSON output (the
-//! workspace has no JSON library), which means nothing ties the **committed**
+//! The recorder binaries (`bench_tradeoff`, `bench_scale`) hand-assemble
+//! their JSON output (the workspace has no JSON library), which means
+//! nothing ties the **committed**
 //! `BENCH_*.json` files to the recorders' current output shape: a PR can
 //! change a recorder's fields and silently leave the committed baselines
 //! describing a measurement that no longer exists. The `bench_check` binary
@@ -230,47 +230,6 @@ fn validate_at(value: &Json, shape: &Shape, path: &str) -> Result<(), String> {
     }
 }
 
-/// Schema of `BENCH_baseline.json` (`bench_baseline` recorder).
-pub const BASELINE_SCHEMA: Shape = Shape::Obj(&[
-    ("vertices", Shape::Num),
-    ("seed", Shape::Num),
-    ("grid_exponent", Shape::Num),
-    ("edge_factor", Shape::Num),
-    ("host_threads", Shape::Num),
-    ("build_seconds_serial", Shape::Num),
-    ("build_seconds_parallel", Shape::Num),
-    ("total_blocks", Shape::Num),
-    ("knn_k", Shape::Num),
-    ("knn_density", Shape::Num),
-    ("knn_queries", Shape::Num),
-    ("knn_mean_us", Shape::Num),
-    ("knn_p95_us", Shape::Num),
-]);
-
-/// Schema of `BENCH_throughput.json` (`bench_throughput` recorder).
-pub const THROUGHPUT_SCHEMA: Shape = Shape::Obj(&[
-    ("vertices", Shape::Num),
-    ("seed", Shape::Num),
-    ("grid_exponent", Shape::Num),
-    ("cache_fraction", Shape::Num),
-    ("knn_k", Shape::Num),
-    ("knn_density", Shape::Num),
-    ("duration_ms", Shape::Num),
-    ("host_threads", Shape::Num),
-    (
-        "runs",
-        Shape::Arr(&Shape::Obj(&[
-            ("workers", Shape::Num),
-            ("queries", Shape::Num),
-            ("qps", Shape::Num),
-            ("p50_us", Shape::Num),
-            ("p99_us", Shape::Num),
-            ("pool_hit_rate", Shape::Num),
-            ("entry_cache_hit_rate", Shape::Num),
-        ])),
-    ),
-]);
-
 /// Schema of `BENCH_tradeoff.json` (`bench_tradeoff` recorder).
 pub const TRADEOFF_SCHEMA: Shape = Shape::Obj(&[
     ("vertices", Shape::Num),
@@ -350,37 +309,6 @@ pub const SCALE_SCHEMA: Shape = Shape::Obj(&[
     ),
 ]);
 
-/// Schema of `BENCH_latency.json` (`bench_latency` recorder).
-pub const LATENCY_SCHEMA: Shape = Shape::Obj(&[
-    ("vertices", Shape::Num),
-    ("seed", Shape::Num),
-    ("grid_exponent", Shape::Num),
-    ("cache_fraction", Shape::Num),
-    ("knn_k", Shape::Num),
-    ("knn_density", Shape::Num),
-    ("batch_size", Shape::Num),
-    ("duration_ms", Shape::Num),
-    ("host_threads", Shape::Num),
-    ("capacity_qps", Shape::Num),
-    (
-        "runs",
-        Shape::Arr(&Shape::Obj(&[
-            ("order", Shape::Str),
-            ("offered_fraction", Shape::Num),
-            ("offered_qps", Shape::Num),
-            ("sent", Shape::Num),
-            ("answered", Shape::Num),
-            ("busy", Shape::Num),
-            ("achieved_qps", Shape::Num),
-            ("p50_us", Shape::Num),
-            ("p99_us", Shape::Num),
-            ("p999_us", Shape::Num),
-            ("pool_hit_rate", Shape::Num),
-            ("entry_cache_hit_rate", Shape::Num),
-        ])),
-    ),
-]);
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,13 +354,9 @@ mod tests {
     fn committed_records_match_their_schemas() {
         // The in-repo gate the bench_check binary runs in CI: if this fails,
         // a recorder's schema and the committed record have drifted apart.
-        for (file, schema) in [
-            ("BENCH_baseline.json", &BASELINE_SCHEMA),
-            ("BENCH_throughput.json", &THROUGHPUT_SCHEMA),
-            ("BENCH_tradeoff.json", &TRADEOFF_SCHEMA),
-            ("BENCH_scale.json", &SCALE_SCHEMA),
-            ("BENCH_latency.json", &LATENCY_SCHEMA),
-        ] {
+        for (file, schema) in
+            [("BENCH_tradeoff.json", &TRADEOFF_SCHEMA), ("BENCH_scale.json", &SCALE_SCHEMA)]
+        {
             let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../").to_string() + file;
             let text = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));

@@ -2,14 +2,12 @@
 //!
 //! `BATCH` bodies from every connection land in one server-wide
 //! [`SubmissionQueue`]; executor threads drain up to `max_batch` jobs at a
-//! time and — in [`BatchOrder::Morton`] mode — execute each drained batch
-//! in Morton order of the query vertices' positions. Spatially adjacent
-//! query points read overlapping shortest-path-quadtree pages, so sorting
-//! a batch turns random page faults into sequential-ish, cache-friendly
-//! runs; this is the paper's locality argument applied to the *arrival
-//! stream* instead of the index layout. [`BatchOrder::Fifo`] preserves
-//! arrival order and exists as the A/B baseline `bench_latency` measures
-//! against. Ordering never changes an answer — only cache behavior.
+//! time and execute each drained batch in Morton order of the query
+//! vertices' positions ([`order_batch`]). Spatially adjacent query points
+//! read overlapping shortest-path-quadtree pages, so sorting a batch turns
+//! random page faults into sequential-ish, cache-friendly runs; this is the
+//! paper's locality argument applied to the *arrival stream* instead of the
+//! index layout. Ordering never changes an answer — only cache behavior.
 //!
 //! The queue is deliberately **bounded**: when it fills, submission fails
 //! and the connection answers `SERVER_BUSY` instead of queueing unbounded
@@ -18,16 +16,6 @@
 use crate::protocol::QueryBody;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-
-/// Execution order of a drained batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchOrder {
-    /// Arrival order — the baseline.
-    Fifo,
-    /// Morton order of the query vertices' positions — the locality
-    /// optimization.
-    Morton,
-}
 
 /// One queued query body, tagged with everything needed to route its
 /// answer back: which reply channel, which request, which sequence slot.
@@ -122,12 +110,10 @@ impl<R> SubmissionQueue<R> {
     }
 }
 
-/// Orders a drained batch for execution. Morton sort is stable, so jobs on
-/// the same cell keep arrival order and FIFO is exactly the identity.
-pub fn order_batch<R>(jobs: &mut [Job<R>], order: BatchOrder) {
-    if order == BatchOrder::Morton {
-        jobs.sort_by_key(|j| j.morton);
-    }
+/// Orders a drained batch for execution: Morton order of the query
+/// vertices, stable, so jobs on the same cell keep arrival order.
+pub fn order_batch<R>(jobs: &mut [Job<R>]) {
+    jobs.sort_by_key(|j| j.morton);
 }
 
 #[cfg(test)]
@@ -191,11 +177,9 @@ mod tests {
     }
 
     #[test]
-    fn morton_order_sorts_and_fifo_preserves_arrival() {
+    fn morton_order_is_stable() {
         let mut jobs = vec![job(0, 30), job(1, 10), job(2, 20), job(3, 10)];
-        order_batch(&mut jobs, BatchOrder::Fifo);
-        assert_eq!(jobs.iter().map(|j| j.sequence).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
-        order_batch(&mut jobs, BatchOrder::Morton);
+        order_batch(&mut jobs);
         // Stable: the two morton==10 jobs keep arrival order 1 then 3.
         assert_eq!(jobs.iter().map(|j| j.sequence).collect::<Vec<_>>(), vec![1, 3, 2, 0]);
     }

@@ -3,8 +3,8 @@
 //!
 //! [`Client::connect`] performs the HELLO handshake; [`Client::query`] and
 //! [`Client::batch`] are the synchronous request/response surface most
-//! callers want. Open-loop callers (the latency bench) split the
-//! connection with [`Client::try_clone`] and drive the two halves from
+//! callers want. Open-loop callers (perfbench's `knn_served` load) split
+//! the connection with [`Client::try_clone`] and drive the two halves from
 //! separate threads via [`Client::send_batch_nowait`] and
 //! [`Client::recv`], matching responses by `(request id, sequence)`.
 //!
@@ -187,7 +187,7 @@ impl Client {
         Ok(())
     }
 
-    // -- open-loop primitives (the latency bench's surface) -----------------
+    // -- open-loop primitives (perfbench's served-load surface) --------------
 
     /// Sends a `BATCH` without waiting for anything. The caller owns
     /// request-id allocation; match replies via [`Client::recv`] on the

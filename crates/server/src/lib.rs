@@ -17,8 +17,8 @@
 //!    [`batch`]); executors drain up to a configured batch size and
 //!    execute each batch in Morton order of the query points, so
 //!    spatially adjacent queries touch overlapping index pages and the
-//!    buffer pool amortizes faults across them. `bench_latency` in
-//!    `silc-bench` measures exactly this effect against FIFO order.
+//!    buffer pool amortizes faults across them. The `knn_served` workload
+//!    of `perfbench/` measures this path end to end.
 //! 3. **Overload is a typed answer, not a growing queue.** When the
 //!    submission queue is full the server answers `SERVER_BUSY` per
 //!    rejected body — open-loop clients see backpressure instead of
@@ -48,7 +48,6 @@ pub mod server;
 #[doc = include_str!("../../../docs/PROTOCOL.md")]
 pub mod spec {}
 
-pub use batch::BatchOrder;
 pub use client::{Client, ClientError, Outcome, ServerInfo};
 pub use protocol::{Algorithm, AnswerBody, ErrorCode, Frame, QueryBody, StatusReply};
 pub use server::{Server, ServerBackend, ServerConfig};

@@ -14,14 +14,15 @@
 //!   lock hold, so executor replies and inline replies never interleave
 //!   partial frames.
 //! * **Executor threads** — each owns its *own* `SessionSet`; they block
-//!   on the queue, drain up to [`ServerConfig::max_batch`] jobs, order the
-//!   batch ([`BatchOrder`]), execute, and reply through each job's writer.
+//!   on the queue, drain up to [`ServerConfig::max_batch`] jobs, sort the
+//!   batch into Morton order ([`order_batch`]), execute, and reply through
+//!   each job's writer.
 //!
 //! Every query answered by any thread is bit-identical to a local
 //! [`QuerySession`] run: the sessions *are* local sessions, and the wire
 //! codec moves `f64`s as bit patterns.
 
-use crate::batch::{order_batch, BatchOrder, Job, SubmissionQueue};
+use crate::batch::{order_batch, Job, SubmissionQueue};
 use crate::protocol::{
     self, Algorithm, AnswerBody, ErrorCode, Frame, QueryBody, StatusReply, WireNeighbor,
     CAP_APPROX, CAP_ROUTED, VERSION,
@@ -67,20 +68,13 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Most jobs an executor drains (and sorts) at once.
     pub max_batch: usize,
-    /// Execution order of drained batches.
-    pub order: BatchOrder,
     /// Executor thread count.
     pub executor_threads: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        ServerConfig {
-            queue_capacity: 256,
-            max_batch: 64,
-            order: BatchOrder::Morton,
-            executor_threads: 1,
-        }
+        ServerConfig { queue_capacity: 256, max_batch: 64, executor_threads: 1 }
     }
 }
 
@@ -312,7 +306,7 @@ fn executor_loop(shared: Arc<Shared>) {
     while shared.queue.drain(shared.cfg.max_batch, &mut batch) {
         shared.stats.batches_drained.fetch_add(1, Ordering::Relaxed);
         shared.stats.bodies_executed.fetch_add(batch.len() as u64, Ordering::Relaxed);
-        order_batch(&mut batch, shared.cfg.order);
+        order_batch(&mut batch);
         for job in &batch {
             run_job(&shared, &mut set, job);
         }
@@ -568,10 +562,11 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
                     }
                 }));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
+            // `WouldBlock` is the idle poll. Any other error (EMFILE when
+            // file descriptors run out, a connection aborted before it was
+            // accepted) is transient for the listener: back off and keep
+            // accepting rather than drop the listener for good.
+            Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
     for h in conn_threads {

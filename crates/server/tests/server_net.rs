@@ -7,17 +7,21 @@
 //! * Mid-request disconnects leave the server healthy.
 //! * Flooding a tiny submission queue engages `SERVER_BUSY` backpressure
 //!   and every body is accounted for (answered + busy == sent).
+//! * A `BATCH` submitted out of Morton order answers every sequence slot
+//!   bit-identically to local execution.
+//! * Running out of file descriptors does not take the listener down.
 
 use silc::partitioned::{PartitionedBuildConfig, PartitionedSilcIndex};
 use silc::{BuildConfig, SilcIndex};
+use silc_morton::MortonCode;
 use silc_network::generate::{road_network, RoadConfig};
 use silc_network::{PartitionConfig, SpatialNetwork, VertexId};
 use silc_query::{KnnVariant, ObjectSet, PartitionedEngine, QueryEngine, Routable};
-use silc_server::batch::BatchOrder;
 use silc_server::protocol::{self, Frame, WireNeighbor, HEADER_LEN, MAGIC, MAX_FRAME_LEN, VERSION};
 use silc_server::server::DynBrowser;
 use silc_server::{
-    Algorithm, Client, ErrorCode, Outcome, QueryBody, Server, ServerBackend, ServerConfig,
+    Algorithm, AnswerBody, Client, ErrorCode, Outcome, QueryBody, Server, ServerBackend,
+    ServerConfig,
 };
 use std::io::Write;
 use std::net::TcpStream;
@@ -159,12 +163,7 @@ fn four_concurrent_clients_get_bit_identical_answers() {
 #[test]
 fn flood_engages_backpressure_and_accounts_for_every_body() {
     let (_, engine, _) = fixture(150, 7);
-    let cfg = ServerConfig {
-        queue_capacity: 2,
-        max_batch: 1,
-        order: BatchOrder::Morton,
-        executor_threads: 1,
-    };
+    let cfg = ServerConfig { queue_capacity: 2, max_batch: 1, executor_threads: 1 };
     let server = Server::start("127.0.0.1:0", exact_only_backend(&engine), cfg).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
 
@@ -282,29 +281,142 @@ fn hardening_bad_frames_get_typed_errors_and_disconnects_leave_server_healthy() 
 }
 
 #[test]
-fn fifo_and_morton_orders_answer_identically() {
-    let (_, engine, _) = fixture(160, 55);
-    let bodies: Vec<QueryBody> = (0..40)
-        .map(|i| QueryBody { algorithm: Algorithm::Knn, vertex: (i * 7) % 160, k: 2 })
+fn batch_answers_match_local_sessions_bit_for_bit() {
+    let (g, engine, _) = fixture(160, 55);
+    let browser = engine.browser();
+    let morton_of =
+        |v: u32| MortonCode::encode(browser.mapper().to_grid(&g.position(VertexId(v)))).0;
+
+    // Submit in descending Morton order, so the executor's stable Morton
+    // sort must reorder the batch before it runs.
+    let mut vertices: Vec<u32> = (0..40).map(|i| (i * 7) % 160).collect();
+    vertices.sort_by_key(|&v| std::cmp::Reverse(morton_of(v)));
+    let mortons: Vec<u64> = vertices.iter().map(|&v| morton_of(v)).collect();
+    assert!(
+        mortons.windows(2).any(|w| w[0] > w[1]),
+        "precondition: the batch is submitted out of Morton order"
+    );
+    let exact = [
+        Algorithm::Knn,
+        Algorithm::KnnI,
+        Algorithm::KnnM,
+        Algorithm::Inn,
+        Algorithm::Ine,
+        Algorithm::Ier,
+    ];
+    let bodies: Vec<QueryBody> = vertices
+        .iter()
+        .enumerate()
+        .map(|(i, &vertex)| QueryBody {
+            algorithm: exact[i % exact.len()],
+            vertex,
+            k: 1 + (i % 4) as u32,
+        })
         .collect();
 
-    let mut answers = Vec::new();
-    for order in [BatchOrder::Fifo, BatchOrder::Morton] {
-        let cfg = ServerConfig { order, queue_capacity: 1024, ..Default::default() };
-        let server = Server::start("127.0.0.1:0", exact_only_backend(&engine), cfg).unwrap();
-        let mut client = Client::connect(server.addr()).unwrap();
-        let outcomes = client.batch(&bodies).unwrap();
-        answers.push(
-            outcomes
-                .into_iter()
-                .map(|o| match o {
-                    Outcome::Answer(a) => a,
-                    other => panic!("{order:?} answered {other:?}"),
-                })
-                .collect::<Vec<_>>(),
+    let server =
+        Server::start("127.0.0.1:0", exact_only_backend(&engine), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let outcomes = client.batch(&bodies).unwrap();
+    client.goodbye().unwrap();
+    server.shutdown();
+
+    let mut local = engine.session();
+    for (i, (body, outcome)) in bodies.iter().zip(outcomes).enumerate() {
+        let (q, k) = (VertexId(body.vertex), body.k as usize);
+        let want = match body.algorithm {
+            Algorithm::Knn => wire(local.knn(q, k, KnnVariant::Basic)),
+            Algorithm::KnnI => wire(local.knn(q, k, KnnVariant::EarlyEstimate)),
+            Algorithm::KnnM => wire(local.knn(q, k, KnnVariant::MinDist)),
+            Algorithm::Inn => wire(local.inn(q, k)),
+            Algorithm::Ine => wire(local.ine(q, k)),
+            Algorithm::Ier => wire(local.ier(q, k)),
+            other => unreachable!("{other:?} is not in the batch"),
+        };
+        let want = AnswerBody {
+            algorithm: body.algorithm as u8,
+            complete: true,
+            degraded: Vec::new(),
+            neighbors: want,
+        };
+        assert_eq!(
+            outcome,
+            Outcome::Answer(want),
+            "sequence {i} ({body:?}) must be bit-identical to local execution"
         );
-        client.goodbye().unwrap();
-        server.shutdown();
     }
-    assert_eq!(answers[0], answers[1], "execution order must never change answers");
+}
+
+/// Set in the child process [`accept_loop_survives_fd_exhaustion`] re-execs
+/// itself into under a 64-descriptor limit.
+const FD_CHILD_ENV: &str = "SILC_SERVER_NET_FD_CHILD";
+
+#[test]
+fn accept_loop_survives_fd_exhaustion() {
+    // Running out of descriptors is process-wide, so the scenario runs in
+    // a child process of its own with `ulimit -n 64`.
+    if std::env::var_os(FD_CHILD_ENV).is_none() {
+        let exe = std::env::current_exe().unwrap();
+        let out = std::process::Command::new("sh")
+            .arg("-c")
+            .arg(r#"ulimit -n 64 && exec "$0" "$@""#)
+            .arg(exe)
+            .args(["--exact", "accept_loop_survives_fd_exhaustion", "--test-threads=1"])
+            .env(FD_CHILD_ENV, "1")
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "child failed:\n{}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        return;
+    }
+
+    let (_, engine, _) = fixture(60, 3);
+    let server =
+        Server::start("127.0.0.1:0", exact_only_backend(&engine), ServerConfig::default()).unwrap();
+    let addr = server.addr();
+
+    // Take every free descriptor, then hand them back one at a time until
+    // the client socket fits: the server's accept of that connection then
+    // finds none free and fails with EMFILE.
+    let mut hogs = Vec::new();
+    let err = loop {
+        match std::fs::File::open("/dev/null") {
+            Ok(f) => hogs.push(f),
+            Err(e) => break e,
+        }
+        assert!(hogs.len() < 4096, "the descriptor limit must be reachable (ulimit -n 64)");
+    };
+    assert_eq!(err.raw_os_error(), Some(24), "open must fail with EMFILE, got {err}");
+    let mut stranded = loop {
+        drop(hogs.pop().expect("a descriptor to hand back"));
+        match TcpStream::connect(addr) {
+            Ok(s) => break s,
+            Err(e) if e.raw_os_error() == Some(24) => continue,
+            Err(e) => panic!("connect with one descriptor free: {e}"),
+        }
+    };
+    // The accept loop polls every 5 ms; 100 ms lets it meet EMFILE. No
+    // server event marks that moment, so this is a sleep: a slower host
+    // can only make the test miss the defect, never fail the fix.
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    drop(hogs);
+
+    // The listener must still be up: both the stranded connection and a
+    // fresh one complete the handshake and get answers.
+    protocol::write_frame(&mut stranded, &Frame::Hello { version: VERSION }).unwrap();
+    match protocol::read_frame(&mut stranded).unwrap() {
+        Some(Frame::ServerHello { .. }) => {}
+        other => panic!("stranded connection answered {other:?}"),
+    }
+    let mut client = Client::connect(addr).unwrap();
+    match client.query(QueryBody { algorithm: Algorithm::Knn, vertex: 1, k: 2 }).unwrap() {
+        Outcome::Answer(a) => assert!(!a.neighbors.is_empty()),
+        other => panic!("query after fd exhaustion answered {other:?}"),
+    }
+    client.goodbye().unwrap();
+    server.shutdown();
 }
