@@ -5,7 +5,7 @@
 #
 .PHONY: build test bench bench-tradeoff bench-tradeoff-smoke bench-scale \
         bench-scale-smoke bench-check perfbench-test chaos docs deep-fuzz \
-        figures lint fmt protocol-check serve-smoke verify help
+        figures lint fmt protocol-check verify help
 
 help:
 	@echo "SILC workspace targets:"
@@ -19,7 +19,6 @@ help:
 	@echo "  bench-scale-smoke      CI smoke for the scale harness (tiny, writes to target/)"
 	@echo "  bench-check            validate committed BENCH_*.json against the recorders' schemas"
 	@echo "  perfbench-test         the serving benchmark's own tests (perfbench/ workspace)"
-	@echo "  serve-smoke            scripted client session against a loopback silc-server"
 	@echo "  protocol-check         docs/PROTOCOL.md <-> protocol.rs test lockstep gate"
 	@echo "  chaos                  fault-injection matrix: seeded disk faults, retries, dead shards"
 	@echo "  docs                   rustdoc with warnings denied (the CI docs gate)"
@@ -67,12 +66,6 @@ bench-scale:
 # target/ — only that the partition→build→route pipeline runs end to end.
 bench-scale-smoke:
 	cargo run --release -p silc-bench --bin bench_scale -- --smoke
-
-# Scripted end-to-end session against a real loopback server: a mixed
-# exact/routed/approx batch checked bit-identical to local execution, a
-# malformed frame, an oversized frame, a status probe, a clean shutdown.
-serve-smoke:
-	cargo run --release -p silc-server --bin serve_smoke
 
 # Spec <-> implementation lockstep: every frame type named in
 # docs/PROTOCOL.md must have a `frame_<name>_…` test in protocol.rs.

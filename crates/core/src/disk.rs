@@ -49,9 +49,7 @@ use silc_geom::{GridMapper, Rect};
 use silc_morton::{MortonBlock, MortonCode};
 use silc_network::{SpatialNetwork, VertexId};
 use silc_storage::varint::{self, VarintReader};
-use silc_storage::{
-    container, BufferPool, FilePageStore, PageStore, PrefetchPolicy, RetryPolicy, TieredPool,
-};
+use silc_storage::{container, BufferPool, FilePageStore, PageStore, TieredPool};
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -308,19 +306,6 @@ impl DiskSilcIndex {
     /// Byte length of the compressed entry region.
     pub fn entry_region_bytes(&self) -> u64 {
         self.entries_len
-    }
-
-    /// Sets how the buffer pool retries transient store faults. Configure
-    /// before sharing the index across threads.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.cached.set_retry_policy(retry);
-    }
-
-    /// Sets the buffer pool's readahead hint for cold entry-region scans
-    /// (see [`PrefetchPolicy`]). Configure before sharing the index across
-    /// threads.
-    pub fn set_prefetch_policy(&mut self, prefetch: PrefetchPolicy) {
-        self.cached.set_prefetch_policy(prefetch);
     }
 
     /// Opts this open out of per-page checksum verification (every page is

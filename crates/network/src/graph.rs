@@ -266,38 +266,6 @@ impl SpatialNetwork {
             })
             .map(|(i, _)| VertexId(i as u32))
     }
-
-    /// Raw parts, for serialization.
-    pub(crate) fn into_parts(self) -> (Vec<Point>, Vec<u32>, Vec<u32>, Vec<f64>) {
-        (self.positions, self.offsets, self.targets, self.weights)
-    }
-
-    /// Rebuilds from raw parts, revalidating the CSR invariants.
-    pub(crate) fn from_parts(
-        positions: Vec<Point>,
-        offsets: Vec<u32>,
-        targets: Vec<u32>,
-        weights: Vec<f64>,
-    ) -> Result<Self, String> {
-        if offsets.len() != positions.len() + 1 {
-            return Err("offsets length mismatch".into());
-        }
-        if targets.len() != weights.len() {
-            return Err("targets/weights length mismatch".into());
-        }
-        if *offsets.last().unwrap_or(&0) as usize != targets.len() {
-            return Err("final offset does not match edge count".into());
-        }
-        let n = positions.len() as u32;
-        if targets.iter().any(|&t| t >= n) {
-            return Err("edge target out of range".into());
-        }
-        if weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
-            return Err("non-finite or negative edge weight".into());
-        }
-        let bounds = Rect::bounding(&positions).unwrap_or_else(|| Rect::new(0.0, 0.0, 1.0, 1.0));
-        Ok(finalize_network(positions, offsets, targets, weights, bounds))
-    }
 }
 
 /// Incremental builder for [`SpatialNetwork`].
@@ -511,35 +479,5 @@ mod tests {
         assert_eq!(g.edge_count(), 0);
         assert_eq!(g.min_weight_ratio(), 1.0);
         assert_eq!(g.nearest_vertex(&Point::new(0.0, 0.0)), None);
-    }
-
-    #[test]
-    fn roundtrip_parts() {
-        let g = square();
-        let (p, o, t, w) = g.clone().into_parts();
-        let g2 = SpatialNetwork::from_parts(p, o, t, w).unwrap();
-        assert_eq!(g2.vertex_count(), g.vertex_count());
-        assert_eq!(g2.edge_count(), g.edge_count());
-        assert_eq!(g2.edge_weight(VertexId(2), VertexId(3)), Some(1.5));
-    }
-
-    #[test]
-    fn from_parts_validates() {
-        assert!(SpatialNetwork::from_parts(vec![Point::new(0.0, 0.0)], vec![0], vec![], vec![])
-            .is_err()); // offsets too short
-        assert!(SpatialNetwork::from_parts(
-            vec![Point::new(0.0, 0.0)],
-            vec![0, 1],
-            vec![5],
-            vec![1.0]
-        )
-        .is_err()); // target out of range
-        assert!(SpatialNetwork::from_parts(
-            vec![Point::new(0.0, 0.0), Point::new(1.0, 0.0)],
-            vec![0, 1, 1],
-            vec![1],
-            vec![f64::NAN]
-        )
-        .is_err()); // NaN weight
     }
 }

@@ -1,192 +1,15 @@
-//! Compact binary serialization of spatial networks.
+//! The FMI-style plain-text exchange format for spatial networks.
 //!
-//! Generated experiment networks are expensive to rebuild (the Gabriel pass
-//! dominates), so the harness caches them on disk. The format is a simple
-//! little-endian dump of the CSR arrays with a magic header; corrupt or
-//! truncated input fails with `InvalidData` rather than panicking.
+//! This is how road graphs enter and leave the workspace as files:
+//! `bench_scale` writes its generated networks in it and reads them back,
+//! so the scale pipeline starts from the same format external road-graph
+//! tooling emits. Malformed input fails with `InvalidData` and the
+//! offending line number rather than panicking. (The paged serving form of
+//! a network is `SILCPNT2`, in [`crate::paged`].)
 
 use crate::SpatialNetwork;
-use bytes::{Buf, BufMut};
 use silc_geom::Point;
-use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::path::Path;
-
-const MAGIC: &[u8; 8] = b"SILCNET1";
-
-/// Serializes `g` into `w`.
-pub fn write_network<W: Write>(g: &SpatialNetwork, w: &mut W) -> io::Result<()> {
-    let (positions, offsets, targets, weights) = g.clone().into_parts();
-    let mut buf =
-        Vec::with_capacity(16 + positions.len() * 16 + offsets.len() * 4 + targets.len() * 12);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(positions.len() as u32);
-    buf.put_u32_le(targets.len() as u32);
-    for p in &positions {
-        buf.put_f64_le(p.x);
-        buf.put_f64_le(p.y);
-    }
-    for &o in &offsets {
-        buf.put_u32_le(o);
-    }
-    for &t in &targets {
-        buf.put_u32_le(t);
-    }
-    for &wt in &weights {
-        buf.put_f64_le(wt);
-    }
-    w.write_all(&buf)
-}
-
-/// Deserializes a network from `r`, validating all structural invariants.
-pub fn read_network<R: Read>(r: &mut R) -> io::Result<SpatialNetwork> {
-    let mut data = Vec::new();
-    r.read_to_end(&mut data)?;
-    let mut buf = &data[..];
-    let fail = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-
-    if buf.remaining() < 16 {
-        return Err(fail("truncated header"));
-    }
-    let mut magic = [0u8; 8];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(fail("bad magic"));
-    }
-    let n = buf.get_u32_le() as usize;
-    let m = buf.get_u32_le() as usize;
-    let need = n * 16 + (n + 1) * 4 + m * 12;
-    if buf.remaining() != need {
-        return Err(fail("length mismatch"));
-    }
-    let mut positions = Vec::with_capacity(n);
-    for _ in 0..n {
-        let x = buf.get_f64_le();
-        let y = buf.get_f64_le();
-        if !x.is_finite() || !y.is_finite() {
-            return Err(fail("non-finite position"));
-        }
-        positions.push(Point::new(x, y));
-    }
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        offsets.push(buf.get_u32_le());
-    }
-    let mut targets = Vec::with_capacity(m);
-    for _ in 0..m {
-        targets.push(buf.get_u32_le());
-    }
-    let mut weights = Vec::with_capacity(m);
-    for _ in 0..m {
-        weights.push(buf.get_f64_le());
-    }
-    SpatialNetwork::from_parts(positions, offsets, targets, weights)
-        .map_err(|e| fail(&format!("invalid network: {e}")))
-}
-
-/// Writes `g` to the file at `path`.
-pub fn save<P: AsRef<Path>>(g: &SpatialNetwork, path: P) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    write_network(g, &mut w)?;
-    w.flush()
-}
-
-/// Reads a network from the file at `path`.
-pub fn load<P: AsRef<Path>>(path: P) -> io::Result<SpatialNetwork> {
-    let mut r = BufReader::new(File::open(path)?);
-    read_network(&mut r)
-}
-
-/// Writes `g` in the line-oriented text format (see [`read_text`]).
-pub fn write_text<W: Write>(g: &SpatialNetwork, w: &mut W) -> io::Result<()> {
-    writeln!(
-        w,
-        "# silc spatial network: {} vertices, {} directed edges",
-        g.vertex_count(),
-        g.edge_count()
-    )?;
-    for v in g.vertices() {
-        let p = g.position(v);
-        writeln!(w, "v {} {}", p.x, p.y)?;
-    }
-    for u in g.vertices() {
-        for (v, wt) in g.out_edges(u) {
-            writeln!(w, "e {} {} {}", u.0, v.0, wt)?;
-        }
-    }
-    Ok(())
-}
-
-/// Reads the line-oriented text format, the drop-in path for external road
-/// data (e.g. converted TIGER extracts):
-///
-/// ```text
-/// # comment
-/// v <x> <y>          — one vertex per line, ids assigned in order
-/// e <u> <v> <weight> — one *directed* edge per line
-/// ```
-pub fn read_text<R: Read>(r: &mut R) -> io::Result<SpatialNetwork> {
-    use crate::{NetworkBuilder, VertexId};
-    let mut text = String::new();
-    r.read_to_string(&mut text)?;
-    let fail = |line_no: usize, msg: &str| {
-        io::Error::new(io::ErrorKind::InvalidData, format!("line {line_no}: {msg}"))
-    };
-    let mut b = NetworkBuilder::new();
-    let mut edges: Vec<(u32, u32, f64)> = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line_no = i + 1;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        match parts.next() {
-            Some("v") => {
-                let x: f64 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| fail(line_no, "bad vertex x"))?;
-                let y: f64 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| fail(line_no, "bad vertex y"))?;
-                if !(x.is_finite() && y.is_finite()) {
-                    return Err(fail(line_no, "non-finite vertex position"));
-                }
-                b.add_vertex(Point::new(x, y));
-            }
-            Some("e") => {
-                let u: u32 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| fail(line_no, "bad edge source"))?;
-                let v: u32 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| fail(line_no, "bad edge target"))?;
-                let w: f64 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| fail(line_no, "bad edge weight"))?;
-                edges.push((u, v, w));
-            }
-            Some(other) => return Err(fail(line_no, &format!("unknown record '{other}'"))),
-            None => {}
-        }
-    }
-    let n = b.vertex_count() as u32;
-    for (line_ish, (u, v, w)) in edges.into_iter().enumerate() {
-        if u >= n || v >= n {
-            return Err(fail(line_ish + 1, "edge endpoint out of range"));
-        }
-        if !w.is_finite() || w < 0.0 || u == v {
-            return Err(fail(line_ish + 1, "invalid edge"));
-        }
-        b.add_edge(VertexId(u), VertexId(v), w);
-    }
-    Ok(b.build())
-}
+use std::io::{self, Read, Write};
 
 /// Writes `g` in the FMI-style plain-text exchange format (see
 /// [`read_fmi`]). Coordinates are written as `lat lon`, i.e. `y` first.
@@ -300,23 +123,33 @@ pub fn read_fmi<R: Read>(r: &mut R) -> io::Result<SpatialNetwork> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate::{grid_network, GridConfig};
+    use crate::generate::{grid_network, road_network, GridConfig, RoadConfig};
     use crate::VertexId;
+
+    fn fmi_bytes(g: &SpatialNetwork) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_fmi(g, &mut buf).unwrap();
+        buf
+    }
+
+    fn assert_same_network(a: &SpatialNetwork, b: &SpatialNetwork) {
+        assert_eq!(a.vertex_count(), b.vertex_count());
+        assert_eq!(a.edge_count(), b.edge_count());
+        for v in a.vertices() {
+            assert_eq!(a.position(v), b.position(v));
+            let x: Vec<_> = a.out_edges(v).collect();
+            let y: Vec<_> = b.out_edges(v).collect();
+            assert_eq!(x, y);
+        }
+    }
 
     #[test]
     fn roundtrip_in_memory() {
-        let g = grid_network(&GridConfig { rows: 7, cols: 5, seed: 99, ..Default::default() });
-        let mut buf = Vec::new();
-        write_network(&g, &mut buf).unwrap();
-        let g2 = read_network(&mut &buf[..]).unwrap();
-        assert_eq!(g2.vertex_count(), g.vertex_count());
-        assert_eq!(g2.edge_count(), g.edge_count());
-        for v in g.vertices() {
-            assert_eq!(g.position(v), g2.position(v));
-            let a: Vec<_> = g.out_edges(v).collect();
-            let b: Vec<_> = g2.out_edges(v).collect();
-            assert_eq!(a, b);
-        }
+        // Irregular coordinates and weights: every f64 must survive its
+        // decimal form bit for bit.
+        let g = road_network(&RoadConfig { vertices: 90, seed: 99, ..Default::default() });
+        let g2 = read_fmi(&mut &fmi_bytes(&g)[..]).unwrap();
+        assert_same_network(&g, &g2);
     }
 
     #[test]
@@ -324,105 +157,50 @@ mod tests {
         let g = grid_network(&GridConfig { rows: 4, cols: 4, ..Default::default() });
         let dir = std::env::temp_dir().join("silc-io-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("net.bin");
-        save(&g, &path).unwrap();
-        let g2 = load(&path).unwrap();
-        assert_eq!(g2.vertex_count(), 16);
-        assert_eq!(g2.position(VertexId(3)), g.position(VertexId(3)));
+        let path = dir.join("net.fmi");
+        let mut w = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
+        write_fmi(&g, &mut w).unwrap();
+        w.into_inner().unwrap();
+        let g2 = read_fmi(&mut std::fs::File::open(&path).unwrap()).unwrap();
+        assert_same_network(&g, &g2);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let mut buf = b"NOTSILC!".to_vec();
-        buf.extend_from_slice(&[0u8; 8]);
-        assert!(read_network(&mut &buf[..]).is_err());
     }
 
     #[test]
     fn truncated_input_rejected() {
         let g = grid_network(&GridConfig { rows: 3, cols: 3, ..Default::default() });
-        let mut buf = Vec::new();
-        write_network(&g, &mut buf).unwrap();
-        buf.truncate(buf.len() - 5);
-        assert!(read_network(&mut &buf[..]).is_err());
-        assert!(read_network(&mut &buf[..4]).is_err());
+        let text = String::from_utf8(fmi_bytes(&g)).unwrap();
+        // Drop the last edge line, then everything past the counts.
+        let without_last = &text[..text.trim_end().rfind('\n').unwrap()];
+        assert!(read_fmi(&mut without_last.as_bytes()).is_err());
+        let counts_only: String = text.lines().take(3).map(|l| format!("{l}\n")).collect();
+        assert!(read_fmi(&mut counts_only.as_bytes()).is_err());
     }
 
     #[test]
     fn tampered_target_rejected() {
         let g = grid_network(&GridConfig { rows: 2, cols: 2, ..Default::default() });
-        let mut buf = Vec::new();
-        write_network(&g, &mut buf).unwrap();
-        // Targets start after header + positions + offsets; set one to 0xFFFFFFFF.
-        let n = g.vertex_count();
-        let off = 16 + n * 16 + (n + 1) * 4;
-        buf[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(read_network(&mut &buf[..]).is_err());
+        let text = String::from_utf8(fmi_bytes(&g)).unwrap();
+        // Point the last edge at a vertex that does not exist.
+        let (head, last) = text.trim_end().rsplit_once('\n').unwrap();
+        let mut fields: Vec<&str> = last.split_whitespace().collect();
+        fields[1] = "4294967295";
+        let tampered = format!("{head}\n{}\n", fields.join(" "));
+        assert!(read_fmi(&mut tampered.as_bytes()).is_err());
     }
 
     #[test]
     fn empty_network_roundtrips() {
         let g = crate::NetworkBuilder::new().build();
-        let mut buf = Vec::new();
-        write_network(&g, &mut buf).unwrap();
-        let g2 = read_network(&mut &buf[..]).unwrap();
-        assert_eq!(g2.vertex_count(), 0);
-    }
-
-    #[test]
-    fn text_roundtrip() {
-        let g = grid_network(&GridConfig { rows: 5, cols: 6, seed: 2, ..Default::default() });
-        let mut buf = Vec::new();
-        write_text(&g, &mut buf).unwrap();
-        let g2 = read_text(&mut &buf[..]).unwrap();
-        assert_eq!(g2.vertex_count(), g.vertex_count());
-        assert_eq!(g2.edge_count(), g.edge_count());
-        for v in g.vertices() {
-            assert_eq!(g.position(v), g2.position(v));
-            let a: Vec<_> = g.out_edges(v).collect();
-            let b: Vec<_> = g2.out_edges(v).collect();
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn text_format_parses_hand_written_input() {
-        let text =
-            "# a triangle\nv 0 0\nv 1 0\nv 0 1\ne 0 1 1.0\ne 1 0 1.0\ne 1 2 1.5\ne 2 1 1.5\n";
-        let g = read_text(&mut text.as_bytes()).unwrap();
-        assert_eq!(g.vertex_count(), 3);
-        assert_eq!(g.edge_count(), 4);
-        assert_eq!(g.edge_weight(VertexId(1), VertexId(2)), Some(1.5));
-    }
-
-    #[test]
-    fn text_format_rejects_garbage() {
-        for bad in [
-            "v 0\n",                    // missing coordinate
-            "e 0 1 2.0\n",              // edge before any vertex
-            "v 0 0\nv 1 1\ne 0 5 1\n",  // endpoint out of range
-            "v 0 0\nx what\n",          // unknown record
-            "v 0 0\nv 1 1\ne 0 1 -3\n", // negative weight
-        ] {
-            assert!(read_text(&mut bad.as_bytes()).is_err(), "accepted: {bad:?}");
-        }
+        let g2 = read_fmi(&mut &fmi_bytes(&g)[..]).unwrap();
+        assert_eq!((g2.vertex_count(), g2.edge_count()), (0, 0));
     }
 
     #[test]
     fn fmi_roundtrip() {
         let g = grid_network(&GridConfig { rows: 6, cols: 5, seed: 8, ..Default::default() });
-        let mut buf = Vec::new();
-        write_fmi(&g, &mut buf).unwrap();
-        let g2 = read_fmi(&mut &buf[..]).unwrap();
-        assert_eq!(g2.vertex_count(), g.vertex_count());
-        assert_eq!(g2.edge_count(), g.edge_count());
-        for v in g.vertices() {
-            assert_eq!(g.position(v), g2.position(v), "lat/lon must map back to y/x");
-            let a: Vec<_> = g.out_edges(v).collect();
-            let b: Vec<_> = g2.out_edges(v).collect();
-            assert_eq!(a, b);
-        }
+        let g2 = read_fmi(&mut &fmi_bytes(&g)[..]).unwrap();
+        assert_same_network(&g, &g2);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::format::{self, PairRecord};
 use crate::oracle::{locate_pair, DistanceOracle, PairData};
 use crate::split_tree::SplitTree;
 use silc_network::VertexId;
-use silc_storage::{BufferPool, FilePageStore, MemPageStore, PageStore, RetryPolicy, TieredPool};
+use silc_storage::{BufferPool, FilePageStore, MemPageStore, PageStore, TieredPool};
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -104,20 +104,6 @@ impl<S: PageStore> DiskDistanceOracle<S> {
     /// Byte length of the on-disk (compressed) pair region.
     pub fn pair_region_bytes(&self) -> u64 {
         self.pairs_len
-    }
-
-    /// Sets the buffer pool's readahead hint (see
-    /// [`silc_storage::PrefetchPolicy`]): cold sequential runs through the
-    /// pair region are extended by up to `window` pages in the same store
-    /// call. Configure before sharing the oracle across threads.
-    pub fn set_prefetch_policy(&mut self, prefetch: silc_storage::PrefetchPolicy) {
-        self.cached.set_prefetch_policy(prefetch);
-    }
-
-    /// Sets how the buffer pool retries transient store faults. Configure
-    /// before sharing the oracle across threads.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.cached.set_retry_policy(retry);
     }
 
     /// Opts this open out of per-page checksum verification (every page is

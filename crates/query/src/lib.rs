@@ -60,7 +60,9 @@
 //! a kNN over a `silc::PartitionedSilcIndex` — exact merging in the query's
 //! home shard, sound distance intervals for cross-cut candidates, and a
 //! `complete` flag certifying provably exact answers. `bench_scale` in
-//! `silc-bench` drives it at 100 k vertices.
+//! `silc-bench` drives it at 100 k vertices. The two engine shapes share
+//! no trait: a front-end that serves both (as `silc-server` does) holds
+//! one engine of each kind and opens one session of each per worker.
 //!
 //! Every session entry point has a fallible twin ([`QuerySession::try_knn`],
 //! [`QuerySession::try_inn`], [`QuerySession::try_approx_knn`]) that
@@ -78,7 +80,6 @@ pub mod knn;
 pub mod objects;
 pub mod range;
 pub mod result;
-pub mod routable;
 pub mod router;
 pub mod session;
 pub mod verify;
@@ -91,7 +92,6 @@ pub use knn::{inn, knn, try_inn, try_knn, KnnScratch, KnnVariant};
 pub use objects::{ObjectId, ObjectSet};
 pub use range::{within_distance, RangeResult};
 pub use result::{KnnResult, Neighbor, QueryStats};
-pub use routable::{Routable, RoutedAnswer, RoutingSession};
 pub use router::{
     partitioned_knn, PartitionedEngine, PartitionedKnnResult, PartitionedNeighbor,
     PartitionedSession, RouterStats,

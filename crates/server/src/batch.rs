@@ -1,9 +1,10 @@
 //! The bounded submission queue and its locality-sorted drain.
 //!
-//! `BATCH` bodies from every connection land in one server-wide
-//! [`SubmissionQueue`]; executor threads drain up to `max_batch` jobs at a
-//! time and execute each drained batch in Morton order of the query
-//! vertices' positions ([`order_batch`]). Spatially adjacent query points
+//! Every query body from every connection, whether it came as a `QUERY` or
+//! inside a `BATCH`, lands in one server-wide [`SubmissionQueue`];
+//! executor threads drain up to `max_batch` jobs at a time and execute
+//! each drained batch in Morton order of the query vertices' positions
+//! ([`order_batch`]). Spatially adjacent query points
 //! read overlapping shortest-path-quadtree pages, so sorting a batch turns
 //! random page faults into sequential-ish, cache-friendly runs; this is the
 //! paper's locality argument applied to the *arrival stream* instead of the
@@ -23,9 +24,10 @@ use std::sync::{Condvar, Mutex};
 pub struct Job<R> {
     /// Reply channel of the submitting connection.
     pub reply: R,
-    /// Request id of the enclosing `BATCH` frame.
+    /// Request id of the `QUERY` or `BATCH` frame the body came in.
     pub request_id: u64,
-    /// Zero-based position of this body within its batch.
+    /// Zero-based position of this body within its batch (`0` for a
+    /// `QUERY`).
     pub sequence: u32,
     /// The query itself.
     pub body: QueryBody,

@@ -1,38 +1,41 @@
-//! The TCP server: one session per connection thread, one shared bounded
-//! submission queue, executor threads draining Morton-sorted batches.
+//! The TCP server: connection threads that decode and submit, one shared
+//! bounded submission queue, executor threads draining Morton-sorted
+//! batches.
 //!
 //! ## Threading model
 //!
 //! * **Accept thread** — polls the listener, spawns one thread per
 //!   connection, registers each connection's writer so shutdown can
-//!   unblock its reader by closing the socket.
-//! * **Connection threads** — own the socket's read half and a
-//!   `SessionSet` (a `QuerySession`, plus a routing session when the
-//!   backend has one). `QUERY` frames execute inline on this session;
-//!   `BATCH` bodies are submitted to the shared queue. All writes to the
-//!   socket go through a mutex-guarded `ConnWriter`, one whole frame per
-//!   lock hold, so executor replies and inline replies never interleave
-//!   partial frames.
-//! * **Executor threads** — each owns its *own* `SessionSet`; they block
-//!   on the queue, drain up to [`ServerConfig::max_batch`] jobs, sort the
-//!   batch into Morton order ([`order_batch`]), execute, and reply through
-//!   each job's writer.
+//!   unblock its reader by closing the socket, and drops the handles of
+//!   connection threads that have finished.
+//! * **Connection threads** — own the socket's read half. They decode
+//!   frames, submit every query body (a `QUERY` as a one-body job with
+//!   sequence `0`, each `BATCH` body at its own sequence) to the shared
+//!   queue, answer `SERVER_BUSY` when it is full, answer `STATUS`, and
+//!   report framing errors. They never execute a query.
+//! * **Executor threads** — the only place a query body runs. Each owns a
+//!   `SessionSet` (a `QuerySession`, plus a `PartitionedSession` when the
+//!   backend routes); they block on the queue, drain up to
+//!   [`ServerConfig::max_batch`] jobs, sort the batch into Morton order
+//!   ([`order_batch`]), execute, and reply through each job's writer.
 //!
-//! Every query answered by any thread is bit-identical to a local
-//! [`QuerySession`] run: the sessions *are* local sessions, and the wire
-//! codec moves `f64`s as bit patterns.
+//! All writes to a socket go through a mutex-guarded `ConnWriter`, one
+//! whole frame per lock hold, so executor replies and connection-thread
+//! replies never interleave partial frames. Every answer is bit-identical
+//! to a local [`QuerySession`] or [`PartitionedSession`] run: the sessions
+//! *are* local sessions, and the wire codec moves `f64`s as bit patterns.
 
 use crate::batch::{order_batch, Job, SubmissionQueue};
 use crate::protocol::{
     self, Algorithm, AnswerBody, ErrorCode, Frame, QueryBody, StatusReply, WireNeighbor,
     CAP_APPROX, CAP_ROUTED, VERSION,
 };
-use silc::{DistanceBrowser, QueryError};
+use silc::{DistInterval, DistanceBrowser, QueryError};
 use silc_morton::MortonCode;
 use silc_network::VertexId;
 use silc_query::{
-    ApproxDistanceOracle, KnnResult, KnnVariant, QueryEngine, QuerySession, Routable, RoutedAnswer,
-    RoutingSession,
+    ApproxDistanceOracle, KnnVariant, ObjectId, PartitionedEngine, PartitionedSession, QueryEngine,
+    QuerySession,
 };
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -51,8 +54,9 @@ pub type DynBrowser = dyn DistanceBrowser + Send + Sync;
 pub struct ServerBackend {
     /// Exact algorithms (kNN/kNN-I/kNN-M/INN/INE/IER) run here.
     pub engine: Arc<QueryEngine<DynBrowser>>,
-    /// `Routed` queries, when present ([`CAP_ROUTED`]).
-    pub routable: Option<Arc<dyn Routable>>,
+    /// `Routed` queries, when present ([`CAP_ROUTED`]): the cross-shard
+    /// router over a partitioned index.
+    pub routable: Option<Arc<PartitionedEngine>>,
     /// `Approx` queries, when present ([`CAP_APPROX`]).
     pub oracle: Option<Arc<dyn ApproxDistanceOracle>>,
     /// Open-time degradations to surface in `STATUS_REPLY` — e.g. the
@@ -158,55 +162,39 @@ impl Shared {
     }
 }
 
-/// Per-thread query state: a local session per backend kind. Connection
-/// threads and executor threads each own one.
+/// An executor's query state: a local session per backend kind.
 struct SessionSet {
     exact: QuerySession<DynBrowser>,
-    routed: Option<Box<dyn RoutingSession>>,
-    routed_answer: RoutedAnswer,
+    routed: Option<PartitionedSession>,
 }
 
 impl SessionSet {
     fn new(backend: &ServerBackend) -> Self {
         SessionSet {
             exact: backend.engine.session(),
-            routed: backend.routable.as_ref().map(|r| r.routing_session()),
-            routed_answer: RoutedAnswer::default(),
+            routed: backend.routable.as_ref().map(|r| r.session()),
         }
     }
 }
 
-fn answer_from_knn(algorithm: Algorithm, r: &KnnResult) -> AnswerBody {
+/// Encodes one answer for the wire: each neighbor's interval travels as
+/// its `f64` bit patterns.
+fn encode_answer(
+    algorithm: Algorithm,
+    complete: bool,
+    degraded: &[u32],
+    neighbors: impl Iterator<Item = (ObjectId, VertexId, DistInterval)>,
+) -> AnswerBody {
     AnswerBody {
         algorithm: algorithm as u8,
-        complete: true,
-        degraded: Vec::new(),
-        neighbors: r
-            .neighbors
-            .iter()
-            .map(|n| WireNeighbor {
-                object: n.object.0,
-                vertex: n.vertex.0,
-                lo_bits: n.interval.lo.to_bits(),
-                hi_bits: n.interval.hi.to_bits(),
-            })
-            .collect(),
-    }
-}
-
-fn answer_from_routed(algorithm: Algorithm, r: &RoutedAnswer) -> AnswerBody {
-    AnswerBody {
-        algorithm: algorithm as u8,
-        complete: r.complete,
-        degraded: r.degraded.clone(),
-        neighbors: r
-            .neighbors
-            .iter()
-            .map(|n| WireNeighbor {
-                object: n.object.0,
-                vertex: n.vertex.0,
-                lo_bits: n.interval.lo.to_bits(),
-                hi_bits: n.interval.hi.to_bits(),
+        complete,
+        degraded: degraded.to_vec(),
+        neighbors: neighbors
+            .map(|(object, vertex, interval)| WireNeighbor {
+                object: object.0,
+                vertex: vertex.0,
+                lo_bits: interval.lo.to_bits(),
+                hi_bits: interval.hi.to_bits(),
             })
             .collect(),
     }
@@ -219,9 +207,8 @@ fn query_error_reply(e: QueryError) -> (ErrorCode, String) {
     }
 }
 
-/// Validates and executes one query body on `set`, against `shared`'s
-/// backend. This is the single dispatch path both inline `QUERY` handling
-/// and the batching executor go through.
+/// Validates and executes one query body on an executor's `set`, against
+/// `shared`'s backend.
 fn execute(
     shared: &Shared,
     set: &mut SessionSet,
@@ -237,48 +224,37 @@ fn execute(
     let q = VertexId(body.vertex);
     let k = body.k as usize;
     let algo = body.algorithm;
-    match algo {
-        Algorithm::Knn | Algorithm::KnnI | Algorithm::KnnM => {
-            let variant = match algo {
-                Algorithm::Knn => KnnVariant::Basic,
-                Algorithm::KnnI => KnnVariant::EarlyEstimate,
-                _ => KnnVariant::MinDist,
-            };
-            let r = set.exact.try_knn(q, k, variant).map_err(query_error_reply)?;
-            Ok(answer_from_knn(algo, r))
-        }
-        Algorithm::Inn => {
-            let r = set.exact.try_inn(q, k).map_err(query_error_reply)?;
-            Ok(answer_from_knn(algo, r))
-        }
-        Algorithm::Ine => {
-            let r = set.exact.ine(q, k);
-            Ok(answer_from_knn(algo, r))
-        }
-        Algorithm::Ier => {
-            let r = set.exact.ier(q, k);
-            Ok(answer_from_knn(algo, r))
-        }
-        Algorithm::Routed => match set.routed.as_mut() {
-            Some(routed) => {
-                routed.try_knn(q, k, &mut set.routed_answer).map_err(query_error_reply)?;
-                Ok(answer_from_routed(algo, &set.routed_answer))
-            }
-            None => Err((ErrorCode::Unavailable, "no partitioned backend configured".into())),
-        },
+    let r = match algo {
+        Algorithm::Knn => set.exact.try_knn(q, k, KnnVariant::Basic),
+        Algorithm::KnnI => set.exact.try_knn(q, k, KnnVariant::EarlyEstimate),
+        Algorithm::KnnM => set.exact.try_knn(q, k, KnnVariant::MinDist),
+        Algorithm::Inn => set.exact.try_inn(q, k),
+        Algorithm::Ine => Ok(set.exact.ine(q, k)),
+        Algorithm::Ier => Ok(set.exact.ier(q, k)),
         Algorithm::Approx => match shared.backend.oracle.as_deref() {
-            Some(oracle) => {
-                let r = set.exact.try_approx_knn(oracle, q, k).map_err(query_error_reply)?;
-                Ok(answer_from_knn(algo, r))
+            Some(oracle) => set.exact.try_approx_knn(oracle, q, k),
+            None => {
+                return Err((ErrorCode::Unavailable, "no approximate oracle configured".into()))
             }
-            None => Err((ErrorCode::Unavailable, "no approximate oracle configured".into())),
         },
+        Algorithm::Routed => {
+            let Some(routed) = set.routed.as_mut() else {
+                return Err((ErrorCode::Unavailable, "no partitioned backend configured".into()));
+            };
+            // The router is infallible by design: a failing shard degrades
+            // the answer (reported in `degraded`) instead of failing it.
+            let r = routed.knn(q, k);
+            let neighbors = r.neighbors.iter().map(|n| (n.object, n.vertex, n.interval));
+            return Ok(encode_answer(algo, r.complete, &r.degraded, neighbors));
+        }
     }
+    .map_err(query_error_reply)?;
+    let neighbors = r.neighbors.iter().map(|n| (n.object, n.vertex, n.interval));
+    Ok(encode_answer(algo, true, &[], neighbors))
 }
 
-/// Executes one job and replies through its writer. Shared by nothing but
-/// the executor loop, but split out so the success/error accounting reads
-/// straight-line.
+/// Executes one job and replies through its writer. Split out of the
+/// executor loop so the success/error accounting reads straight-line.
 fn run_job(shared: &Shared, set: &mut SessionSet, job: &Job<Arc<ConnWriter>>) {
     match execute(shared, set, &job.body) {
         Ok(answer) => {
@@ -320,43 +296,38 @@ enum Flow {
     Close,
 }
 
-fn handle_frame(
+/// Queues one query body for the executors, or answers `SERVER_BUSY` when
+/// the queue is full (or closed by shutdown). `QUERY` and `BATCH` bodies
+/// both enter here.
+fn submit(
     shared: &Shared,
-    set: &mut SessionSet,
     writer: &Arc<ConnWriter>,
-    frame: Frame,
-) -> Flow {
+    request_id: u64,
+    sequence: u32,
+    body: QueryBody,
+) {
+    let job = Job {
+        reply: Arc::clone(writer),
+        request_id,
+        sequence,
+        body,
+        morton: shared.morton_of(body.vertex),
+    };
+    if shared.queue.try_submit(job).is_err() {
+        shared.stats.busy_rejections.fetch_add(1, Ordering::Relaxed);
+        writer.send(&Frame::ServerBusy { request_id, sequence });
+    }
+}
+
+fn handle_frame(shared: &Shared, writer: &Arc<ConnWriter>, frame: Frame) -> Flow {
     match frame {
         Frame::Query { request_id, body } => {
-            match execute(shared, set, &body) {
-                Ok(answer) => {
-                    shared.stats.queries_answered.fetch_add(1, Ordering::Relaxed);
-                    writer.send(&Frame::Response { request_id, sequence: 0, answer });
-                }
-                Err((code, detail)) => {
-                    writer.send(&Frame::Error {
-                        request_id,
-                        sequence: 0,
-                        code: code as u16,
-                        detail,
-                    });
-                }
-            }
+            submit(shared, writer, request_id, 0, body);
             Flow::Continue
         }
         Frame::Batch { request_id, bodies } => {
             for (i, body) in bodies.into_iter().enumerate() {
-                let job = Job {
-                    reply: Arc::clone(writer),
-                    request_id,
-                    sequence: i as u32,
-                    body,
-                    morton: shared.morton_of(body.vertex),
-                };
-                if shared.queue.try_submit(job).is_err() {
-                    shared.stats.busy_rejections.fetch_add(1, Ordering::Relaxed);
-                    writer.send(&Frame::ServerBusy { request_id, sequence: i as u32 });
-                }
+                submit(shared, writer, request_id, i as u32, body);
             }
             Flow::Continue
         }
@@ -427,13 +398,12 @@ fn connection_loop(shared: Arc<Shared>, mut stream: TcpStream, writer: Arc<ConnW
         }
     }
 
-    let mut set = SessionSet::new(&shared.backend);
     loop {
         if shared.shutdown.load(Ordering::Relaxed) {
             return;
         }
         match protocol::read_frame(&mut stream) {
-            Ok(Some(frame)) => match handle_frame(&shared, &mut set, &writer, frame) {
+            Ok(Some(frame)) => match handle_frame(&shared, &writer, frame) {
                 Flow::Continue => {}
                 Flow::Close => return,
             },
@@ -539,9 +509,18 @@ impl Drop for Server {
     }
 }
 
+/// Drops the handles of connection threads that have finished, so a
+/// long-running server holds one handle per live connection rather than
+/// one per connection it ever served. A finished thread's handle only
+/// carries its exit status, which nothing reads.
+fn reap_finished(threads: &mut Vec<JoinHandle<()>>) {
+    threads.retain(|h| !h.is_finished());
+}
+
 fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
     let mut conn_threads = Vec::new();
     while !shared.shutdown.load(Ordering::Relaxed) {
+        reap_finished(&mut conn_threads);
         match listener.accept() {
             Ok((stream, _)) => {
                 let writer = match stream.try_clone() {
@@ -571,5 +550,30 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
     }
     for h in conn_threads {
         let _ = h.join();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    #[test]
+    fn reap_finished_drops_only_finished_handles() {
+        let (release, wait) = mpsc::channel::<()>();
+        let live = std::thread::spawn(move || {
+            let _ = wait.recv();
+        });
+        let done = std::thread::spawn(|| {});
+        while !done.is_finished() {
+            std::thread::yield_now();
+        }
+        let mut threads = vec![done, live];
+        reap_finished(&mut threads);
+        assert_eq!(threads.len(), 1, "the finished handle is dropped");
+        assert!(!threads[0].is_finished(), "the live handle is kept");
+
+        release.send(()).unwrap();
+        threads.pop().unwrap().join().unwrap();
     }
 }

@@ -1,13 +1,17 @@
 //! End-to-end TCP tests: the acceptance gates of the serving tier.
 //!
 //! * ≥4 simultaneous clients receive answers bit-identical to local
-//!   `QuerySession` execution, across every algorithm the backend serves.
+//!   `QuerySession` execution, across every algorithm the backend serves,
+//!   and every `QUERY` body is counted as executed by the executors.
 //! * Malformed / truncated / oversized / garbage frames produce typed
-//!   error frames — never a panic, never a hang.
+//!   error frames — never a panic, never a hang; a malformed payload in
+//!   a well-formed frame leaves the connection up.
 //! * Mid-request disconnects leave the server healthy.
-//! * Flooding a tiny submission queue engages `SERVER_BUSY` backpressure
-//!   and every body is accounted for (answered + busy == sent).
-//! * A `BATCH` submitted out of Morton order answers every sequence slot
+//! * Flooding a tiny submission queue, with `BATCH` bodies or with
+//!   pipelined `QUERY` frames, engages `SERVER_BUSY` backpressure and
+//!   every body is accounted for (answered + busy == sent).
+//! * A `BATCH` carrying all eight algorithms, routed and approximate
+//!   included, submitted out of Morton order, answers every sequence slot
 //!   bit-identically to local execution.
 //! * Running out of file descriptors does not take the listener down.
 
@@ -16,7 +20,10 @@ use silc::{BuildConfig, SilcIndex};
 use silc_morton::MortonCode;
 use silc_network::generate::{road_network, RoadConfig};
 use silc_network::{PartitionConfig, SpatialNetwork, VertexId};
-use silc_query::{KnnVariant, ObjectSet, PartitionedEngine, QueryEngine, Routable};
+use silc_query::{
+    ApproxDistanceOracle, KnnVariant, ObjectSet, PartitionedEngine, PartitionedSession,
+    QueryEngine, QuerySession,
+};
 use silc_server::protocol::{self, Frame, WireNeighbor, HEADER_LEN, MAGIC, MAX_FRAME_LEN, VERSION};
 use silc_server::server::DynBrowser;
 use silc_server::{
@@ -56,6 +63,65 @@ fn wire(r: &silc_query::KnnResult) -> Vec<WireNeighbor> {
         .collect()
 }
 
+/// A backend serving all eight algorithms over `g`: the exact engine, a
+/// 3-shard router built in `dir`, and a PCP oracle.
+fn full_backend(
+    g: &Arc<SpatialNetwork>,
+    engine: &Arc<QueryEngine<DynBrowser>>,
+    objects: &Arc<ObjectSet>,
+    dir: &std::path::Path,
+) -> ServerBackend {
+    std::fs::remove_dir_all(dir).ok();
+    let pcfg = PartitionedBuildConfig {
+        partition: PartitionConfig { shards: 3, ..Default::default() },
+        grid_exponent: 9,
+        threads: 1,
+        cache_fraction: 0.5,
+    };
+    let pidx = Arc::new(PartitionedSilcIndex::build_in_dir(Arc::clone(g), dir, &pcfg).unwrap());
+    ServerBackend {
+        engine: Arc::clone(engine),
+        routable: Some(Arc::new(PartitionedEngine::new(pidx, Arc::clone(objects)))),
+        oracle: Some(Arc::new(silc_pcp::DistanceOracle::build(g, 9, 8.0))),
+        warnings: Vec::new(),
+    }
+}
+
+/// The answer a local session gives `body`: what the server must send,
+/// bit for bit.
+fn local_answer(
+    exact: &mut QuerySession<DynBrowser>,
+    routed: &mut PartitionedSession,
+    oracle: &dyn ApproxDistanceOracle,
+    body: QueryBody,
+) -> AnswerBody {
+    let (q, k) = (VertexId(body.vertex), body.k as usize);
+    let (neighbors, complete, degraded) = match body.algorithm {
+        Algorithm::Knn => (wire(exact.knn(q, k, KnnVariant::Basic)), true, vec![]),
+        Algorithm::KnnI => (wire(exact.knn(q, k, KnnVariant::EarlyEstimate)), true, vec![]),
+        Algorithm::KnnM => (wire(exact.knn(q, k, KnnVariant::MinDist)), true, vec![]),
+        Algorithm::Inn => (wire(exact.inn(q, k)), true, vec![]),
+        Algorithm::Ine => (wire(exact.ine(q, k)), true, vec![]),
+        Algorithm::Ier => (wire(exact.ier(q, k)), true, vec![]),
+        Algorithm::Approx => (wire(exact.approx_knn(oracle, q, k)), true, vec![]),
+        Algorithm::Routed => {
+            let r = routed.knn(q, k);
+            let neighbors = r
+                .neighbors
+                .iter()
+                .map(|n| WireNeighbor {
+                    object: n.object.0,
+                    vertex: n.vertex.0,
+                    lo_bits: n.interval.lo.to_bits(),
+                    hi_bits: n.interval.hi.to_bits(),
+                })
+                .collect();
+            (neighbors, r.complete, r.degraded.clone())
+        }
+    };
+    AnswerBody { algorithm: body.algorithm as u8, complete, degraded, neighbors }
+}
+
 #[test]
 fn four_concurrent_clients_get_bit_identical_answers() {
     let (g, engine, objects) = fixture(200, 99);
@@ -63,28 +129,14 @@ fn four_concurrent_clients_get_bit_identical_answers() {
     // Full backend: exact + routed + approx, so every algorithm is
     // exercised concurrently.
     let dir = std::env::temp_dir().join("silc-server-net-concurrent");
-    std::fs::remove_dir_all(&dir).ok();
-    let pcfg = PartitionedBuildConfig {
-        partition: PartitionConfig { shards: 3, ..Default::default() },
-        grid_exponent: 9,
-        threads: 1,
-        cache_fraction: 0.5,
-    };
-    let pidx = Arc::new(PartitionedSilcIndex::build_in_dir(Arc::clone(&g), &dir, &pcfg).unwrap());
-    let routed = Arc::new(PartitionedEngine::new(pidx, Arc::clone(&objects)));
-    let oracle: Arc<dyn silc_query::ApproxDistanceOracle> =
-        Arc::new(silc_pcp::DistanceOracle::build(&g, 9, 8.0));
-
-    let backend = ServerBackend {
-        engine: Arc::clone(&engine),
-        routable: Some(Arc::clone(&routed) as Arc<dyn Routable>),
-        oracle: Some(Arc::clone(&oracle)),
-        warnings: Vec::new(),
-    };
+    let backend = full_backend(&g, &engine, &objects, &dir);
+    let routed = Arc::clone(backend.routable.as_ref().unwrap());
+    let oracle = Arc::clone(backend.oracle.as_ref().unwrap());
     let server = Server::start("127.0.0.1:0", backend, ServerConfig::default()).unwrap();
     let addr = server.addr();
 
     let n = g.vertex_count() as u32;
+    let rounds = 6u32;
     let threads: Vec<_> = (0..4u32)
         .map(|t| {
             let engine = Arc::clone(&engine);
@@ -93,57 +145,19 @@ fn four_concurrent_clients_get_bit_identical_answers() {
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
                 let mut local = engine.session();
-                let mut local_routed = routed.routing_session();
-                let mut routed_out = silc_query::RoutedAnswer::default();
-                for round in 0..6u32 {
+                let mut local_routed = routed.session();
+                for round in 0..rounds {
                     let q = (t * 37 + round * 13) % n;
-                    let k = 1 + ((t + round) % 4) as usize;
+                    let k = 1 + (t + round) % 4;
                     for algorithm in Algorithm::ALL {
-                        let body = QueryBody { algorithm, vertex: q, k: k as u32 };
+                        let body = QueryBody { algorithm, vertex: q, k };
                         let got = match client.query(body).unwrap() {
                             Outcome::Answer(a) => a,
                             other => panic!("client {t}: {algorithm:?} answered {other:?}"),
                         };
-                        let qv = VertexId(q);
-                        let (want_neighbors, want_complete, want_degraded) = match algorithm {
-                            Algorithm::Knn => {
-                                (wire(local.knn(qv, k, KnnVariant::Basic)), true, vec![])
-                            }
-                            Algorithm::KnnI => {
-                                (wire(local.knn(qv, k, KnnVariant::EarlyEstimate)), true, vec![])
-                            }
-                            Algorithm::KnnM => {
-                                (wire(local.knn(qv, k, KnnVariant::MinDist)), true, vec![])
-                            }
-                            Algorithm::Inn => (wire(local.inn(qv, k)), true, vec![]),
-                            Algorithm::Ine => (wire(local.ine(qv, k)), true, vec![]),
-                            Algorithm::Ier => (wire(local.ier(qv, k)), true, vec![]),
-                            Algorithm::Routed => {
-                                local_routed.try_knn(qv, k, &mut routed_out).unwrap();
-                                (
-                                    routed_out
-                                        .neighbors
-                                        .iter()
-                                        .map(|pn| WireNeighbor {
-                                            object: pn.object.0,
-                                            vertex: pn.vertex.0,
-                                            lo_bits: pn.interval.lo.to_bits(),
-                                            hi_bits: pn.interval.hi.to_bits(),
-                                        })
-                                        .collect(),
-                                    routed_out.complete,
-                                    routed_out.degraded.clone(),
-                                )
-                            }
-                            Algorithm::Approx => {
-                                (wire(local.approx_knn(&*oracle, qv, k)), true, vec![])
-                            }
-                        };
-                        assert_eq!(got.algorithm, algorithm as u8);
-                        assert_eq!(got.complete, want_complete, "client {t} {algorithm:?}");
-                        assert_eq!(got.degraded, want_degraded, "client {t} {algorithm:?}");
+                        let want = local_answer(&mut local, &mut local_routed, &*oracle, body);
                         assert_eq!(
-                            got.neighbors, want_neighbors,
+                            got, want,
                             "client {t} {algorithm:?} q={q} k={k}: remote answer must be \
                              bit-identical to local"
                         );
@@ -156,6 +170,12 @@ fn four_concurrent_clients_get_bit_identical_answers() {
     for t in threads {
         t.join().unwrap();
     }
+    // Every QUERY ran on an executor: the executors' body count is the
+    // number of queries sent.
+    let sent = 4 * rounds as u64 * Algorithm::ALL.len() as u64;
+    let status = server.status();
+    assert_eq!(status.bodies_executed, sent, "QUERY bodies run on the executors");
+    assert_eq!(status.queries_answered, sent);
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -179,6 +199,42 @@ fn flood_engages_backpressure_and_accounts_for_every_body() {
     let status = client.status().unwrap();
     assert_eq!(status.busy_rejections, busy as u64);
     assert_eq!(status.queue_capacity, 2);
+    client.goodbye().unwrap();
+    server.shutdown();
+
+    // The same flood as pipelined QUERY frames: they go through the same
+    // bounded queue, so a one-slot queue must bounce some of them too.
+    let cfg = ServerConfig { queue_capacity: 1, max_batch: 1, executor_threads: 1 };
+    let server = Server::start("127.0.0.1:0", exact_only_backend(&engine), cfg).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let sent = 300u64;
+    let mut frames = Vec::new();
+    for id in 1..=sent {
+        let body = QueryBody { algorithm: Algorithm::Knn, vertex: (id % 150) as u32, k: 3 };
+        frames.extend(protocol::encode_frame(&Frame::Query { request_id: id, body }));
+    }
+    client.send_raw(&frames).unwrap();
+    let (mut answered, mut busy) = (0u64, 0u64);
+    let mut seen = vec![false; sent as usize + 1];
+    for _ in 0..sent {
+        let (id, sequence, outcome) = client.recv().unwrap().expect("a reply per QUERY");
+        assert_eq!(sequence, 0, "a QUERY is a one-body job at sequence 0");
+        assert!(!std::mem::replace(&mut seen[id as usize], true), "one reply for request {id}");
+        match outcome {
+            Outcome::Answer(_) => answered += 1,
+            Outcome::Busy => busy += 1,
+            other => panic!("request {id} answered {other:?}"),
+        }
+    }
+    assert_eq!(answered + busy, sent, "every QUERY gets exactly one reply");
+    assert!(busy > 0, "a 1-deep queue flooded with {sent} QUERY frames must bounce some");
+    assert!(answered > 0, "the executor must also make progress");
+
+    let status = client.status().unwrap();
+    assert_eq!(status.busy_rejections, busy);
+    assert_eq!(status.queries_answered, answered);
+    assert_eq!(status.bodies_executed, answered);
+    assert_eq!(status.queue_capacity, 1);
     client.goodbye().unwrap();
     server.shutdown();
 }
@@ -263,6 +319,18 @@ fn hardening_bad_frames_get_typed_errors_and_disconnects_leave_server_healthy() 
             other => panic!("{algorithm:?} answered {other:?}"),
         }
     }
+    // A well-framed QUERY whose algorithm byte is out of range is
+    // MALFORMED but recoverable: typed error, connection stays up.
+    let mut bad_query = protocol::encode_frame(&Frame::Query {
+        request_id: 99,
+        body: QueryBody { algorithm: Algorithm::Knn, vertex: 0, k: 1 },
+    });
+    bad_query[HEADER_LEN + 8] = 0xEE; // the algorithm byte
+    c.send_raw(&bad_query).unwrap();
+    match c.recv_frame().unwrap().unwrap() {
+        Frame::Error { code, .. } => assert_eq!(code, ErrorCode::Malformed as u16),
+        other => panic!("bad algorithm byte answered {other:?}"),
+    }
     // And the connection still answers real queries after all that.
     match c.query(QueryBody { algorithm: Algorithm::Knn, vertex: 1, k: 2 }).unwrap() {
         Outcome::Answer(a) => assert!(!a.neighbors.is_empty()),
@@ -282,7 +350,7 @@ fn hardening_bad_frames_get_typed_errors_and_disconnects_leave_server_healthy() 
 
 #[test]
 fn batch_answers_match_local_sessions_bit_for_bit() {
-    let (g, engine, _) = fixture(160, 55);
+    let (g, engine, objects) = fixture(160, 55);
     let browser = engine.browser();
     let morton_of =
         |v: u32| MortonCode::encode(browser.mapper().to_grid(&g.position(VertexId(v)))).0;
@@ -296,55 +364,40 @@ fn batch_answers_match_local_sessions_bit_for_bit() {
         mortons.windows(2).any(|w| w[0] > w[1]),
         "precondition: the batch is submitted out of Morton order"
     );
-    let exact = [
-        Algorithm::Knn,
-        Algorithm::KnnI,
-        Algorithm::KnnM,
-        Algorithm::Inn,
-        Algorithm::Ine,
-        Algorithm::Ier,
-    ];
+    // One batch cycles through all eight algorithms, routed and
+    // approximate included.
     let bodies: Vec<QueryBody> = vertices
         .iter()
         .enumerate()
         .map(|(i, &vertex)| QueryBody {
-            algorithm: exact[i % exact.len()],
+            algorithm: Algorithm::ALL[i % Algorithm::ALL.len()],
             vertex,
             k: 1 + (i % 4) as u32,
         })
         .collect();
 
-    let server =
-        Server::start("127.0.0.1:0", exact_only_backend(&engine), ServerConfig::default()).unwrap();
+    let dir = std::env::temp_dir().join("silc-server-net-batch");
+    let backend = full_backend(&g, &engine, &objects, &dir);
+    let routed = Arc::clone(backend.routable.as_ref().unwrap());
+    let oracle = Arc::clone(backend.oracle.as_ref().unwrap());
+    let server = Server::start("127.0.0.1:0", backend, ServerConfig::default()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
+    assert_eq!(client.info().capabilities, 0b11, "routed + approx both configured");
     let outcomes = client.batch(&bodies).unwrap();
     client.goodbye().unwrap();
     server.shutdown();
 
     let mut local = engine.session();
-    for (i, (body, outcome)) in bodies.iter().zip(outcomes).enumerate() {
-        let (q, k) = (VertexId(body.vertex), body.k as usize);
-        let want = match body.algorithm {
-            Algorithm::Knn => wire(local.knn(q, k, KnnVariant::Basic)),
-            Algorithm::KnnI => wire(local.knn(q, k, KnnVariant::EarlyEstimate)),
-            Algorithm::KnnM => wire(local.knn(q, k, KnnVariant::MinDist)),
-            Algorithm::Inn => wire(local.inn(q, k)),
-            Algorithm::Ine => wire(local.ine(q, k)),
-            Algorithm::Ier => wire(local.ier(q, k)),
-            other => unreachable!("{other:?} is not in the batch"),
-        };
-        let want = AnswerBody {
-            algorithm: body.algorithm as u8,
-            complete: true,
-            degraded: Vec::new(),
-            neighbors: want,
-        };
+    let mut local_routed = routed.session();
+    for (i, (&body, outcome)) in bodies.iter().zip(outcomes).enumerate() {
+        let want = local_answer(&mut local, &mut local_routed, &*oracle, body);
         assert_eq!(
             outcome,
             Outcome::Answer(want),
             "sequence {i} ({body:?}) must be bit-identical to local execution"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Set in the child process [`accept_loop_survives_fd_exhaustion`] re-execs

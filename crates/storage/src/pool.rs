@@ -138,11 +138,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A single attempt: every fault propagates immediately.
-    pub fn no_retry() -> Self {
-        RetryPolicy { max_attempts: 1, backoff: Duration::ZERO, backoff_max: Duration::ZERO }
-    }
-
     /// Default attempts with zero backoff — what deterministic tests use.
     pub fn fast() -> Self {
         RetryPolicy { max_attempts: 3, backoff: Duration::ZERO, backoff_max: Duration::ZERO }
@@ -352,11 +347,6 @@ impl<S: PageStore> BufferPool<S> {
     /// Configure before sharing the pool across threads.
     pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
         self.retry = RetryPolicy { max_attempts: retry.max_attempts.max(1), ..retry };
-    }
-
-    /// The pool's current retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// Sets the readahead hint for [`Self::read_range`] (see

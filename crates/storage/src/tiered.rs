@@ -11,7 +11,7 @@
 
 use crate::cache::{CacheStats, ShardedCache};
 use crate::checksum::ChecksumTable;
-use crate::pool::{BufferPool, IoStats, PrefetchPolicy, RetryPolicy};
+use crate::pool::{BufferPool, IoStats, PrefetchPolicy};
 use crate::store::{PageId, PageStore, PAGE_SIZE};
 use std::io;
 use std::sync::Arc;
@@ -68,11 +68,6 @@ impl<S: PageStore, V: Clone> TieredPool<S, V> {
     /// The page-level buffer pool.
     pub fn pool(&self) -> &BufferPool<S> {
         &self.pool
-    }
-
-    /// Sets the pool's [`RetryPolicy`]. Configure before sharing.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.pool.set_retry_policy(retry);
     }
 
     /// Enables per-page checksum verification in the pool. Configure

@@ -4,9 +4,10 @@
 //! incremental variants, ε-approximate answers — served here through
 //! `silc-server`'s length-prefixed binary protocol on a loopback TCP
 //! socket, and checked bit-identical to a local `QuerySession` on the
-//! same index. Batches submitted over the wire are drained from a
-//! bounded queue and sorted by query-point Morton code before
-//! execution, so spatially adjacent queries share just-faulted pages.
+//! same index. Every query submitted over the wire is drained from one
+//! bounded queue, and each drained batch is sorted by query-point Morton
+//! code before execution, so spatially adjacent queries share
+//! just-faulted pages.
 //!
 //! ```sh
 //! cargo run -p silc-bench --release --example remote_browsing

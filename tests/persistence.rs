@@ -1,6 +1,7 @@
-//! Persistence: networks and SILC indexes survive serialization; the
-//! disk-resident index behaves like the in-memory one through the buffer
-//! pool; malformed files are rejected, never mis-read.
+//! Persistence: networks (in the FMI exchange format) and SILC indexes
+//! survive serialization; the disk-resident index behaves like the
+//! in-memory one through the buffer pool; malformed files are rejected,
+//! never mis-read.
 
 use silc::{disk, BuildConfig, DiskSilcIndex, DistanceBrowser, SilcIndex};
 use silc_network::generate::{road_network, RoadConfig};
@@ -17,9 +18,11 @@ fn tmp(name: &str) -> std::path::PathBuf {
 #[test]
 fn network_file_roundtrip_preserves_queries() {
     let g = road_network(&RoadConfig { vertices: 160, seed: 21, ..Default::default() });
-    let path = tmp("net.bin");
-    netio::save(&g, &path).unwrap();
-    let g2 = netio::load(&path).unwrap();
+    let path = tmp("net.fmi");
+    let mut w = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
+    netio::write_fmi(&g, &mut w).unwrap();
+    w.into_inner().unwrap();
+    let g2 = netio::read_fmi(&mut std::fs::File::open(&path).unwrap()).unwrap();
     // Same SSSP answers on the reloaded network.
     let a = silc_network::dijkstra::full_sssp(&g, VertexId(0));
     let b = silc_network::dijkstra::full_sssp(&g2, VertexId(0));
